@@ -130,7 +130,7 @@ where
 {
     let mut acc = 0usize;
     for n in 0..nodes {
-        for e in index.out_edges(NodeId::from_index(n)).iter() {
+        for &e in index.out_edges(NodeId::from_index(n)) {
             acc += index.dst(e).index();
             acc += usize::from(index.arrival_is_monotone(e));
         }

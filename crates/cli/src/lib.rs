@@ -387,7 +387,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 
 /// Runs one scenario and renders its engine throughput as a single JSON
 /// line: the run/settle/expansion counters from the report's
-/// [`tvg_journeys::EngineStats`], the wall time, and the derived rates
+/// `EngineStats`, the wall time, and the derived rates
 /// the profiling workflow watches (queries/sec, settles/sec, ns/query).
 /// A serve scenario additionally reports its publication metrics —
 /// epoch count, mean events per epoch, frozen chunks shared with the

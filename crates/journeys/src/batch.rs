@@ -1,5 +1,6 @@
 //! The batch-query runtime: independent single-source engine runs fanned
-//! out over scoped worker threads that share one compiled [`TvgIndex`].
+//! out over scoped worker threads that share one compiled
+//! [`tvg_model::TvgIndex`].
 //!
 //! Every aggregate consumer in the workspace — `ReachabilityMatrix`
 //! (all-pairs reachability), `delivery_ratio` (all-sources delivery),

@@ -22,17 +22,17 @@
 //! Both explorers are built for cache locality:
 //!
 //! * **Label arena.** Every generated configuration/label lives in one
-//!   bump arena of [`Label`]s addressed by `u32` id; parent pointers are
+//!   bump arena of `Label`s addressed by `u32` id; parent pointers are
 //!   arena ids, not map keys, so witness reconstruction is a pointer
-//!   walk and the two explorers share one [`TreeRepr`].
+//!   walk and the two explorers share one `TreeRepr`.
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
-//!   ([`FlatMap`]) from configuration time to a merged generation-and-
-//!   settlement record ([`Conf`]), laid out struct-of-arrays: an
+//!   (`FlatMap`) from configuration time to a merged generation-and-
+//!   settlement record (`Conf`), laid out struct-of-arrays: an
 //!   expanded crossing resolves its target with a single binary search
 //!   over a dense key array, and because settle times per node are
 //!   non-decreasing, fresh settles land at the tail.
 //! * **Monomorphized policies.** The waiting policy is dispatched once
-//!   per drain/replay into loops generic over [`DeparturePolicy`], so
+//!   per drain/replay into loops generic over `DeparturePolicy`, so
 //!   the per-label policy branch of the old explorer is compiled away.
 //! * **Queue dedup.** The exact explorer pushes a heap entry only when a
 //!   crossing improves the best hop count enqueued for its target
@@ -706,8 +706,7 @@ impl<T: Time> ExactCore<T> {
             return;
         };
         let until = latest.min(limits.horizon.clone());
-        let edges = index.out_edges(node);
-        for e in edges.iter() {
+        for &e in index.out_edges(node) {
             let spans = index.presence(e);
             // Expansion times only grow, so spans ending at or before
             // `time` can never serve a later call either: skip them for
@@ -908,8 +907,7 @@ impl<T: Time> ParetoCore<T> {
         id: u32,
         stats: &mut EngineStats,
     ) {
-        let edges = index.out_edges(node);
-        for e in edges.iter() {
+        for &e in index.out_edges(node) {
             let succ = index.dst(e);
             // All crossings of `e` from this label cost the same hops, so
             // only the minimal-arrival departure can survive dominance —

@@ -23,68 +23,6 @@
 use crate::interval::{Instants, IntervalSet, SpanView};
 use crate::{EdgeId, Latency, NodeId, Time, Tvg};
 
-/// A borrowed, copyable view of one node's out-edge list — the common
-/// denominator between in-memory adjacency (native [`EdgeId`] slices)
-/// and the on-disk `.tvgi` CSR arenas (raw little-endian `u32` words
-/// mapped straight out of the file). [`EdgeId`] is a newtype without a
-/// guaranteed layout, so the raw arena cannot be reinterpreted as an id
-/// slice without `unsafe` (which the workspace forbids); this two-variant
-/// view gives both layouts one iteration surface instead.
-#[derive(Debug, Clone, Copy)]
-pub enum EdgeRefs<'a> {
-    /// Borrowed edge ids (the in-memory indexes).
-    Ids(&'a [EdgeId]),
-    /// Raw edge-id words from a file arena.
-    Raw(&'a [u32]),
-}
-
-impl EdgeRefs<'_> {
-    /// Number of out-edges.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            EdgeRefs::Ids(s) => s.len(),
-            EdgeRefs::Raw(r) => r.len(),
-        }
-    }
-
-    /// `true` iff the node has no out-edges.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th out-edge (builder order).
-    #[must_use]
-    pub fn get(&self, i: usize) -> EdgeId {
-        match self {
-            EdgeRefs::Ids(s) => s[i],
-            EdgeRefs::Raw(r) => EdgeId::from_index(r[i] as usize),
-        }
-    }
-
-    /// Iterates the out-edges in builder order.
-    pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// The list materialized as owned ids (allocates; for oracles and
-    /// tests, not query paths).
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<EdgeId> {
-        self.iter().collect()
-    }
-}
-
-/// Logical equality regardless of layout.
-impl PartialEq for EdgeRefs<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && (0..self.len()).all(|i| self.get(i) == other.get(i))
-    }
-}
-
-impl Eq for EdgeRefs<'_> {}
-
 /// Compile-time contract: a compiled index (and the graph it borrows) is
 /// shareable across threads whenever its time domain is. `&TvgIndex` is
 /// the cheap borrowed view the batch-query workers hold — schedules
@@ -105,18 +43,19 @@ fn assert_index_is_shareable<T: Time + Send + Sync + 'static>() {
 /// [`TvgIndex::compile`] against a fixed schedule), the streaming
 /// [`crate::stream::LiveIndex`] (maintained event by event as a schedule
 /// *arrives*), and the on-disk [`crate::tvgi::ShardedIndex`] (a `.tvgi`
-/// file opened read-only, answering from flat per-shard arenas). The
+/// file opened read-only, answering from decoded per-shard arenas). The
 /// single-source journey engine, the batch-query runtime, and the
 /// protocol simulators are all generic over this trait, so a workload
 /// can move between offline recompute, live ingestion, and
 /// compile-once-serve-many without touching a consumer.
 ///
-/// The accessors hand out *views* ([`SpanView`], [`EdgeRefs`]) rather
-/// than concrete containers, so an implementation backed by raw file
-/// arenas is as first-class as one holding native structures. Every
-/// derived query (presence tests, next-departure search, window
-/// enumeration, crossings) is provided on top of the required
-/// primitives and behaves identically for every implementation.
+/// The accessors hand out plain borrowed slices: out-edge lists as
+/// `&[EdgeId]`, presence as a [`SpanView`] over `(start, end)` pairs.
+/// Every implementation stores those shapes natively, so no accessor
+/// converts a layout. Every derived query (presence tests,
+/// next-departure search, window enumeration, crossings) is provided on
+/// top of the required primitives and behaves identically for every
+/// implementation; callers bring the trait into scope to use them.
 pub trait TemporalIndex<T: Time> {
     /// Number of nodes the index answers for.
     fn num_nodes(&self) -> usize;
@@ -135,7 +74,7 @@ pub trait TemporalIndex<T: Time> {
     fn arrival_is_monotone(&self, e: EdgeId) -> bool;
 
     /// Outgoing edges of `n` in builder order.
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_>;
+    fn out_edges(&self, n: NodeId) -> &[EdgeId];
 
     /// Destination node of `e`. Semantically just
     /// [`crate::tvg::Edge::dst`], but on the engine's hottest path —
@@ -191,53 +130,13 @@ pub trait TemporalIndex<T: Time> {
         Self: Sized,
         T: 'a,
     {
-        let edges = self.out_edges(node);
-        (0..edges.len()).flat_map(move |i| {
-            let e = edges.get(i);
+        self.out_edges(node).iter().flat_map(move |&e| {
             self.departures_within(e, from, until)
                 .filter_map(move |dep| {
                     let arr = self.arrival(e, &dep)?;
                     Some((e, dep, arr))
                 })
         })
-    }
-}
-
-/// Shared-ownership snapshots answer exactly like the index they wrap:
-/// a query service can publish an `Arc<LiveIndex>` (or any other
-/// implementation) and hand clones to reader threads, and every
-/// consumer generic over [`TemporalIndex`] accepts the `Arc` directly.
-impl<T: Time, I: TemporalIndex<T>> TemporalIndex<T> for std::sync::Arc<I> {
-    fn num_nodes(&self) -> usize {
-        (**self).num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        (**self).num_edges()
-    }
-
-    fn horizon(&self) -> &T {
-        (**self).horizon()
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        (**self).presence(e)
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        (**self).arrival_is_monotone(e)
-    }
-
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        (**self).out_edges(n)
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        (**self).dst(e)
-    }
-
-    fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        (**self).arrival(e, t)
     }
 }
 
@@ -264,7 +163,7 @@ pub struct EdgeEvent<T> {
 /// A [`Tvg`] compiled against a departure horizon.
 ///
 /// ```
-/// use tvg_model::{Latency, Presence, TvgBuilder, TvgIndex};
+/// use tvg_model::{Latency, Presence, TemporalIndex, TvgBuilder, TvgIndex};
 ///
 /// let mut b = TvgBuilder::<u64>::new();
 /// let (u, v) = (b.node("u"), b.node("v"));
@@ -367,104 +266,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
         self.g
     }
 
-    /// The inclusive departure horizon the index was compiled for.
-    #[must_use]
-    pub fn horizon(&self) -> &T {
-        &self.horizon
-    }
-
-    /// Outgoing edges of `n` as one contiguous CSR slice (builder order,
-    /// identical to [`Tvg::out_edges`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range for the compiled graph.
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]]
-    }
-
-    /// The compiled presence intervals of `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range for the compiled graph.
-    #[must_use]
-    pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
-        &self.presence[e.index()]
-    }
-
-    /// The earliest departure of `e` at or after `from` (within the
-    /// horizon), by binary search — the compiled counterpart of
-    /// `Presence::next_present_within(from, horizon)`.
-    ///
-    /// Convenience delegation to the [`TemporalIndex`] default (as are
-    /// all the derived queries below): the trait's provided methods are
-    /// the single source of truth, so a live index and a compiled one
-    /// can never drift apart.
-    #[must_use]
-    pub fn next_departure(&self, e: EdgeId, from: &T) -> Option<T> {
-        TemporalIndex::next_departure(self, e, from)
-    }
-
-    /// Enumerates the departures of `e` within the inclusive window
-    /// `[from, until]`, skipping absent stretches.
-    #[must_use]
-    pub fn departures_within<'a>(
-        &'a self,
-        e: EdgeId,
-        from: &'a T,
-        until: &'a T,
-    ) -> Instants<'a, T> {
-        TemporalIndex::departures_within(self, e, from, until)
-    }
-
-    /// Whether `e` is present at `t` (binary search; agrees with
-    /// [`Tvg::is_present`] for `t <= horizon`, always `false` beyond).
-    #[must_use]
-    pub fn is_present(&self, e: EdgeId, t: &T) -> bool {
-        TemporalIndex::is_present(self, e, t)
-    }
-
-    /// Attempts to traverse `e` departing at `t`: the compiled
-    /// counterpart of [`Tvg::traverse`] (presence by binary search,
-    /// latency through the schedule as before).
-    #[must_use]
-    pub fn traverse(&self, e: EdgeId, t: &T) -> Option<T> {
-        TemporalIndex::traverse(self, e, t)
-    }
-
-    /// Arrival of a crossing of `e` known to depart at a present instant
-    /// `t` (skips the presence test; `None` only on latency overflow).
-    #[must_use]
-    pub fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        TemporalIndex::arrival(self, e, t)
-    }
-
-    /// Whether `e`'s arrival is known to be non-decreasing in its
-    /// departure (cached [`crate::Latency::arrival_is_monotone`]): if so,
-    /// the earliest departure in a window is also the earliest arrival.
-    #[must_use]
-    pub fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        TemporalIndex::arrival_is_monotone(self, e)
-    }
-
-    /// Every admissible crossing from `node` departing within the
-    /// inclusive window `[from, until]`: `(edge, depart, arrive)` triples
-    /// in out-edge order, departures ascending per edge, absent
-    /// stretches skipped and latency overflows dropped.
-    ///
-    /// This is the compiled counterpart of the tick-scan `expansions`
-    /// primitive and the shared inner loop of the journey searches.
-    pub fn crossings<'a>(
-        &'a self,
-        node: NodeId,
-        from: &'a T,
-        until: &'a T,
-    ) -> impl Iterator<Item = (EdgeId, T, T)> + 'a {
-        TemporalIndex::crossings(self, node, from, until)
-    }
-
     /// The global edge-event timeline, sorted by time: every appearance
     /// and disappearance of every edge within the compiled window.
     #[must_use]
@@ -501,8 +302,8 @@ impl<T: Time> TemporalIndex<T> for TvgIndex<'_, T> {
         self.arrival_monotone[e.index()]
     }
 
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        EdgeRefs::Ids(&self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]])
+    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
+        &self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]]
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {

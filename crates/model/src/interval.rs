@@ -75,11 +75,10 @@ impl<T: Time> IntervalSet<T> {
     }
 
     /// A borrowed [`SpanView`] over the spans — the representation the
-    /// [`crate::TemporalIndex`] trait hands to the query engine, shared
-    /// with the flat on-disk arenas of `crate::tvgi`.
+    /// [`crate::TemporalIndex`] trait hands to the query engine.
     #[must_use]
     pub fn view(&self) -> SpanView<'_, T> {
-        SpanView::Pairs(&self.spans)
+        SpanView(&self.spans)
     }
 
     /// Number of maximal spans (the set's *event count* is twice this).
@@ -257,98 +256,68 @@ impl<T: Time> IntervalSet<T> {
     }
 }
 
-/// A borrowed, copyable view of a normalized span list — the common
-/// denominator between the in-memory [`IntervalSet`] (native `(T, T)`
-/// pairs) and the on-disk `.tvgi` arenas (flat interleaved
-/// `[s₀, e₀, s₁, e₁, …]` words mapped straight out of the file). Every
-/// search primitive the journey engine needs lives here once, so the two
-/// representations can never drift apart.
+/// A borrowed, copyable view of a normalized span list: what
+/// [`crate::TemporalIndex::presence`] hands the query engine, whether
+/// the spans live in an [`IntervalSet`] or in a decoded `.tvgi` arena.
+/// Every search primitive the journey engine needs lives here once.
 ///
 /// The invariants of [`IntervalSet`] are assumed: spans sorted by start,
-/// disjoint, non-empty, non-adjacent. The `Flat` variant additionally
-/// requires even length (validated when a `.tvgi` file is opened, not
-/// per query).
-#[derive(Debug, Clone, Copy)]
-pub enum SpanView<'a, T> {
-    /// Borrowed normalized pairs.
-    Pairs(&'a [(T, T)]),
-    /// Flat interleaved start/end words from a file arena.
-    Flat(&'a [T]),
+/// disjoint, non-empty, non-adjacent (a `.tvgi` file's spans are
+/// validated against them when it is opened, not per query).
+#[derive(Debug, PartialEq, Eq)]
+pub struct SpanView<'a, T>(pub(crate) &'a [(T, T)]);
+
+impl<T> Clone for SpanView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
+
+impl<T> Copy for SpanView<'_, T> {}
 
 impl<'a, T: Time> SpanView<'a, T> {
     /// Number of maximal spans.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            SpanView::Pairs(s) => s.len(),
-            SpanView::Flat(f) => f.len() / 2,
-        }
+        self.0.len()
     }
 
     /// `true` iff no instant is in the set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Start of span `i` (inclusive).
     #[must_use]
     pub fn start(&self, i: usize) -> &'a T {
-        match self {
-            SpanView::Pairs(s) => &s[i].0,
-            SpanView::Flat(f) => &f[2 * i],
-        }
+        &self.0[i].0
     }
 
     /// End of span `i` (exclusive).
     #[must_use]
     pub fn end(&self, i: usize) -> &'a T {
-        match self {
-            SpanView::Pairs(s) => &s[i].1,
-            SpanView::Flat(f) => &f[2 * i + 1],
-        }
+        &self.0[i].1
     }
 
-    /// The spans materialized as owned pairs (allocates; for oracles and
-    /// tests, not query paths).
+    /// The spans as a slice of `(start, end)` pairs.
     #[must_use]
-    pub fn spans(&self) -> Vec<(T, T)> {
-        (0..self.len())
-            .map(|i| (self.start(i).clone(), self.end(i).clone()))
-            .collect()
-    }
-
-    /// First span index for which `pred` is false — the span-list
-    /// counterpart of `slice::partition_point`, shared by both layouts.
-    fn partition_point(&self, pred: impl Fn(usize) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    pub fn spans(&self) -> &'a [(T, T)] {
+        self.0
     }
 
     /// Membership test by binary search.
     #[must_use]
     pub fn contains(&self, t: &T) -> bool {
-        let i = self.partition_point(|i| self.start(i) <= t);
-        i > 0 && self.end(i - 1) > t
+        let i = self.0.partition_point(|(s, _)| s <= t);
+        i > 0 && self.0[i - 1].1 > *t
     }
 
     /// The earliest member `>= t`, by binary search.
     #[must_use]
     pub fn next_at_or_after(&self, t: &T) -> Option<T> {
-        let i = self.partition_point(|i| self.end(i) <= t);
-        if i >= self.len() {
-            return None;
-        }
-        let start = self.start(i);
+        let i = self.0.partition_point(|(_, e)| e <= t);
+        let (start, _) = self.0.get(i)?;
         Some(if start > t { start.clone() } else { t.clone() })
     }
 
@@ -362,9 +331,9 @@ impl<'a, T: Time> SpanView<'a, T> {
     /// increasing order (see [`IntervalSet::instants_within`]).
     #[must_use]
     pub fn instants_within(self, from: &'a T, until: &'a T) -> Instants<'a, T> {
-        let idx = self.partition_point(|i| self.end(i) <= from);
+        let idx = self.0.partition_point(|(_, e)| e <= from);
         Instants {
-            view: self,
+            spans: self.0,
             idx,
             cur: None,
             from,
@@ -373,18 +342,6 @@ impl<'a, T: Time> SpanView<'a, T> {
     }
 }
 
-/// Logical equality: two views are equal when they describe the same
-/// span list, regardless of layout.
-impl<T: Time> PartialEq for SpanView<'_, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && (0..self.len())
-                .all(|i| self.start(i) == other.start(i) && self.end(i) == other.end(i))
-    }
-}
-
-impl<T: Time> Eq for SpanView<'_, T> {}
-
 /// Iterator over the instants of an [`IntervalSet`] within a window.
 ///
 /// Yields each present instant once, in increasing order; consecutive
@@ -392,7 +349,7 @@ impl<T: Time> Eq for SpanView<'_, T> {}
 /// in O(1).
 #[derive(Debug)]
 pub struct Instants<'a, T> {
-    view: SpanView<'a, T>,
+    spans: &'a [(T, T)],
     idx: usize,
     /// The cursor once stepping has begun; before the first yield the
     /// borrowed `from` endpoint serves as the cursor, so an iterator
@@ -406,8 +363,7 @@ impl<T: Time> Iterator for Instants<'_, T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        while self.idx < self.view.len() {
-            let (start, end) = (self.view.start(self.idx), self.view.end(self.idx));
+        while let Some((start, end)) = self.spans.get(self.idx) {
             let cursor = self.cur.as_ref().unwrap_or(self.from);
             let candidate = if cursor >= start {
                 cursor.clone()

@@ -5,10 +5,9 @@
 //! starts. This module makes that cost a *build step*: [`write_tvgi`]
 //! serializes a compiled index into a versioned, little-endian,
 //! section-table binary format, and [`ShardedIndex::open`] gives it
-//! back as a read-only [`TemporalIndex`] whose accessors are zero-copy
-//! views ([`SpanView::Flat`], [`EdgeRefs::Raw`]) into flat typed
-//! arenas, so an index compiles once and any number of processes query
-//! it without recompiling.
+//! back as a read-only [`TemporalIndex`] whose accessors borrow plain
+//! slices of its decoded arenas, so an index compiles once and any
+//! number of processes query it without recompiling.
 //!
 //! # Format (version 1)
 //!
@@ -51,22 +50,28 @@
 //! [`ShardedIndex::reachable_shards`], the planning step that lets a
 //! consumer descend into only the shards a source can ever reach.
 //!
-//! # Zero-copy, honestly
+//! # Decoded arenas, not a mapping
 //!
 //! The workspace forbids `unsafe`, so the reader does not `mmap(2)`:
-//! [`ShardedIndex::open`] performs one buffered sequential pass that
-//! decodes each section into a flat typed arena (`Vec<u32>`/`Vec<u64>`
-//! shaped exactly like the file bytes), and every query after that is
-//! a slice view into those arenas — the same access pattern an mmap'd
-//! reader would have, behind the same safe accessor layer, with one
-//! up-front copy as the price of a `#![forbid(unsafe_code)]` workspace.
+//! [`ShardedIndex::open`] makes one buffered sequential pass that
+//! decodes each section, through a read buffer of at most 1 MiB,
+//! straight into the shape the [`TemporalIndex`] trait hands out: CSR
+//! words become a `Vec<EdgeId>`, interleaved span words a
+//! `Vec<(T, T)>`. Every query after that borrows a plain slice, exactly
+//! as it would from a [`TvgIndex`], with no per-query layout
+//! conversion. Before returning, open proves what those slices promise:
+//! every edge id is in range, every edge owns exactly its own CSR slot
+//! (so no two edges share a span list), and every span list is sorted,
+//! non-empty, disjoint and non-adjacent. The price of a
+//! `#![forbid(unsafe_code)]` workspace is one up-front copy, decoded
+//! once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::index::{EdgeEvent, EdgeEventKind, EdgeRefs, TemporalIndex, TvgIndex};
+use crate::index::{EdgeEvent, EdgeEventKind, TemporalIndex, TvgIndex};
 use crate::interval::SpanView;
 use crate::{EdgeId, Latency, NodeId, Time};
 
@@ -675,19 +680,19 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
 #[derive(Debug)]
 struct ShardData<T> {
     csr_off: Vec<u64>,
-    csr_edges: Vec<u32>,
+    csr_edges: Vec<EdgeId>,
     span_off: Vec<u64>,
-    spans: Vec<T>,
+    spans: Vec<(T, T)>,
     boundary: Vec<u32>,
 }
 
-/// A `.tvgi` file opened read-only: flat typed arenas behind the
+/// A `.tvgi` file opened read-only: decoded per-shard arenas behind the
 /// [`TemporalIndex`] trait.
 ///
-/// Every accessor is a slice view into the decoded arenas —
-/// [`SpanView::Flat`] over the shard's interleaved span words,
-/// [`EdgeRefs::Raw`] over its CSR words — so the engine's hot loops
-/// run on the file's own layout. Opened at shard count `k`, it answers
+/// Every accessor borrows a slice of the decoded arenas — a
+/// [`SpanView`] over the shard's `(start, end)` pairs, an `&[EdgeId]`
+/// over its CSR — so the engine's hot loops run on the same shapes as
+/// for the in-memory indexes. Opened at shard count `k`, it answers
 /// bit-identically to the [`TvgIndex`] it was written from (same
 /// arrivals, same witness journeys, same engine stats): edge ids are
 /// global, adjacency order is preserved, and arrivals use the same
@@ -711,49 +716,65 @@ pub struct ShardedIndex<T> {
     shards: Vec<ShardData<T>>,
 }
 
-/// Reads `len` bytes from `f` at `offset` and decodes them as
-/// little-endian words of `width` bytes, streaming in bounded chunks.
-fn read_words<T: TvgiTime>(f: &mut File, offset: u64, len: u64) -> Result<Vec<T>, TvgiError> {
-    let width = u64::from(T::WIDTH);
-    f.seek(SeekFrom::Start(offset))?;
-    let mut out = Vec::with_capacity((len / width) as usize);
-    let mut remaining = len;
-    let mut buf = vec![0u8; 1 << 20];
+/// Reads section `sec` from `f` through a read buffer of at most
+/// 1 MiB, decoding it `width` bytes at a time. The raw bytes are never
+/// held whole, so decoding needs no more memory than its output. The
+/// caller guarantees `width` divides the section length (table
+/// validation checks every section against its element width).
+fn read_section<V>(
+    f: &mut File,
+    sec: &Section,
+    width: usize,
+    decode: impl Fn(&[u8]) -> V,
+) -> Result<Vec<V>, TvgiError> {
+    const BUF: u64 = 1 << 20;
+    debug_assert_eq!(sec.len % width as u64, 0, "section {} width", sec.id);
+    f.seek(SeekFrom::Start(sec.offset))?;
+    let mut out = Vec::with_capacity((sec.len / width as u64) as usize);
+    // A multiple of every width (4, 8, 16), so no word straddles a refill.
+    let mut buf = vec![0u8; sec.len.min(BUF) as usize];
+    let mut remaining = sec.len;
     while remaining > 0 {
-        let take = remaining.min(buf.len() as u64) as usize;
+        let take = remaining.min(BUF) as usize;
         f.read_exact(&mut buf[..take])?;
-        for chunk in buf[..take].chunks_exact(width as usize) {
-            let mut word = [0u8; 8];
-            word[..width as usize].copy_from_slice(chunk);
-            let w = u64::from_le_bytes(word);
-            out.push(T::from_word(w).ok_or(TvgiError::Inconsistent("time word out of range"))?);
-        }
+        out.extend(buf[..take].chunks_exact(width).map(&decode));
         remaining -= take as u64;
     }
     Ok(out)
 }
 
-fn read_bytes(f: &mut File, offset: u64, len: u64) -> Result<Vec<u8>, TvgiError> {
-    f.seek(SeekFrom::Start(offset))?;
-    let mut out = vec![0u8; usize::try_from(len).map_err(|_| TvgiError::Truncated)?];
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4-byte word"))
+}
+
+/// Decodes the little-endian time word in the first `T::WIDTH` bytes
+/// of `bytes` (which always fits `T`).
+fn time_word<T: TvgiTime>(bytes: &[u8]) -> T {
+    let width = usize::from(T::WIDTH);
+    let mut word = [0u8; 8];
+    word[..width].copy_from_slice(&bytes[..width]);
+    T::from_word(u64::from_le_bytes(word)).expect("a WIDTH-byte word fits its time domain")
+}
+
+fn read_words<T: TvgiTime>(f: &mut File, sec: &Section) -> Result<Vec<T>, TvgiError> {
+    read_section(f, sec, usize::from(T::WIDTH), time_word)
+}
+
+fn read_u32s(f: &mut File, sec: &Section) -> Result<Vec<u32>, TvgiError> {
+    read_section(f, sec, 4, le_u32)
+}
+
+fn read_u64s(f: &mut File, sec: &Section) -> Result<Vec<u64>, TvgiError> {
+    read_section(f, sec, 8, |c| {
+        u64::from_le_bytes(c.try_into().expect("8-byte word"))
+    })
+}
+
+fn read_bytes(f: &mut File, sec: &Section) -> Result<Vec<u8>, TvgiError> {
+    f.seek(SeekFrom::Start(sec.offset))?;
+    let mut out = vec![0u8; usize::try_from(sec.len).map_err(|_| TvgiError::Truncated)?];
     f.read_exact(&mut out)?;
     Ok(out)
-}
-
-fn read_u32s(f: &mut File, offset: u64, len: u64) -> Result<Vec<u32>, TvgiError> {
-    let bytes = read_bytes(f, offset, len)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn read_u64s(f: &mut File, offset: u64, len: u64) -> Result<Vec<u64>, TvgiError> {
-    let bytes = read_bytes(f, offset, len)?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("exact chunk")))
-        .collect())
 }
 
 impl<T: TvgiTime> ShardedIndex<T> {
@@ -850,7 +871,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 .ok_or(TvgiError::MissingSection(id))
         };
         let meta_sec = *global(section::META)?;
-        let meta = read_u64s(&mut f, meta_sec.offset, meta_sec.len)?;
+        let meta = read_u64s(&mut f, &meta_sec)?;
         if meta.len() != META_WORDS {
             return Err(TvgiError::Inconsistent("META has the wrong word count"));
         }
@@ -879,7 +900,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
 
         let sec = *global(section::SHARD_RANGES)?;
         expect_len(&sec, info.shards as usize + 1, "SHARD_RANGES length")?;
-        let ranges = read_u32s(&mut f, sec.offset, sec.len)?;
+        let ranges = read_u32s(&mut f, &sec)?;
         if ranges[0] != 0
             || *ranges.last().expect("nonempty") as usize != num_nodes
             || ranges.windows(2).any(|w| w[0] > w[1])
@@ -889,32 +910,32 @@ impl<T: TvgiTime> ShardedIndex<T> {
 
         let sec = *global(section::EDGE_SHARD)?;
         expect_len(&sec, num_edges, "EDGE_SHARD length")?;
-        let edge_shard = read_u32s(&mut f, sec.offset, sec.len)?;
+        let edge_shard = read_u32s(&mut f, &sec)?;
         let sec = *global(section::EDGE_LOCAL)?;
         expect_len(&sec, num_edges, "EDGE_LOCAL length")?;
-        let edge_local = read_u32s(&mut f, sec.offset, sec.len)?;
+        let edge_local = read_u32s(&mut f, &sec)?;
         let sec = *global(section::EDGE_DST)?;
         expect_len(&sec, num_edges, "EDGE_DST length")?;
-        let edge_dst = read_u32s(&mut f, sec.offset, sec.len)?;
+        let edge_dst = read_u32s(&mut f, &sec)?;
         let sec = *global(section::EDGE_MONO)?;
         expect_len(&sec, num_edges, "EDGE_MONO length")?;
-        let edge_mono = read_u32s(&mut f, sec.offset, sec.len)?;
+        let edge_mono = read_u32s(&mut f, &sec)?;
         let sec = *global(section::EDGE_LAT)?;
         expect_len(&sec, num_edges, "EDGE_LAT length")?;
-        let edge_lat = read_words::<T>(&mut f, sec.offset, sec.len)?;
+        let edge_lat = read_words::<T>(&mut f, &sec)?;
 
         let sec = *global(section::EVENT_TIME)?;
         expect_len(&sec, num_events, "EVENT_TIME length")?;
-        let event_time = read_words::<T>(&mut f, sec.offset, sec.len)?;
+        let event_time = read_words::<T>(&mut f, &sec)?;
         let sec = *global(section::EVENT_EDGE)?;
         expect_len(&sec, num_events, "EVENT_EDGE length")?;
-        let event_edge = read_u32s(&mut f, sec.offset, sec.len)?;
+        let event_edge = read_u32s(&mut f, &sec)?;
 
         let sec = *global(section::NAMES_OFF)?;
         expect_len(&sec, num_nodes + 1, "NAMES_OFF length")?;
-        let names_off = read_u64s(&mut f, sec.offset, sec.len)?;
+        let names_off = read_u64s(&mut f, &sec)?;
         let sec = *global(section::NAMES_BYTES)?;
-        let names_bytes = read_bytes(&mut f, sec.offset, sec.len)?;
+        let names_bytes = read_bytes(&mut f, &sec)?;
         if names_off[0] != 0
             || *names_off.last().expect("nonempty") != names_bytes.len() as u64
             || names_off.windows(2).any(|w| w[0] > w[1])
@@ -924,7 +945,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
             ));
         }
         let sec = *global(section::SPEC)?;
-        let spec = String::from_utf8(read_bytes(&mut f, sec.offset, sec.len)?)
+        let spec = String::from_utf8(read_bytes(&mut f, &sec)?)
             .map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
 
         let mut shards = Vec::with_capacity(info.shards as usize);
@@ -937,16 +958,22 @@ impl<T: TvgiTime> ShardedIndex<T> {
             let nodes_here = (ranges[s as usize + 1] - ranges[s as usize]) as usize;
             let sec = shard_sec(section::CSR_OFF)?;
             expect_len(&sec, nodes_here + 1, "CSR_OFF length")?;
-            let csr_off = read_u64s(&mut f, sec.offset, sec.len)?;
+            let csr_off = read_u64s(&mut f, &sec)?;
             let sec = shard_sec(section::CSR_EDGES)?;
-            let csr_edges = read_u32s(&mut f, sec.offset, sec.len)?;
+            let csr_edges = read_section(&mut f, &sec, 4, |c| EdgeId(le_u32(c)))?;
             let sec = shard_sec(section::SPAN_OFF)?;
             expect_len(&sec, csr_edges.len() + 1, "SPAN_OFF length")?;
-            let span_off = read_u64s(&mut f, sec.offset, sec.len)?;
+            let span_off = read_u64s(&mut f, &sec)?;
             let sec = shard_sec(section::SPANS)?;
-            let spans = read_words::<T>(&mut f, sec.offset, sec.len)?;
+            let w = usize::from(T::WIDTH);
+            if sec.len % (2 * w as u64) != 0 {
+                return Err(TvgiError::Inconsistent("SPANS holds an odd word count"));
+            }
+            let spans = read_section(&mut f, &sec, 2 * w, |c| {
+                (time_word(&c[..w]), time_word(&c[w..]))
+            })?;
             let sec = shard_sec(section::BOUNDARY)?;
-            let boundary = read_u32s(&mut f, sec.offset, sec.len)?;
+            let boundary = read_u32s(&mut f, &sec)?;
 
             if csr_off[0] != 0
                 || *csr_off.last().expect("nonempty") != csr_edges.len() as u64
@@ -955,8 +982,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 return Err(TvgiError::Inconsistent("CSR_OFF not monotone"));
             }
             if span_off[0] != 0
-                || *span_off.last().expect("nonempty") != (spans.len() / 2) as u64
-                || spans.len() % 2 != 0
+                || *span_off.last().expect("nonempty") != spans.len() as u64
                 || span_off.windows(2).any(|w| w[0] > w[1])
             {
                 return Err(TvgiError::Inconsistent("SPAN_OFF not monotone over SPANS"));
@@ -973,31 +999,45 @@ impl<T: TvgiTime> ShardedIndex<T> {
             });
         }
 
-        // Cross-section referential checks: every directory entry must
-        // land inside the arena it points into, so query paths can
-        // index without bounds anxiety beyond the slice ops themselves.
+        // Cross-section checks, one linear pass over the CSR slots in
+        // file order. Each slot's edge must be in range and its
+        // directory entry must point back at that slot: with the CSRs
+        // covering exactly `num_edges` slots, that makes the directory a
+        // bijection, so every edge owns one slot and no two edges share
+        // a span list. Each slot's spans must be sorted, non-empty,
+        // disjoint and non-adjacent, the invariants `SpanView`'s binary
+        // searches assume. Query paths then index without bounds
+        // anxiety beyond the slice ops.
         let total_csr: usize = shards.iter().map(|sh| sh.csr_edges.len()).sum();
         if total_csr != num_edges {
             return Err(TvgiError::Inconsistent(
                 "shard CSRs do not cover every edge",
             ));
         }
-        for e in 0..num_edges {
-            let s = edge_shard[e] as usize;
-            if s >= shards.len() {
-                return Err(TvgiError::Inconsistent("EDGE_SHARD names an absent shard"));
-            }
-            if edge_local[e] as usize >= shards[s].span_off.len() - 1 {
-                return Err(TvgiError::Inconsistent("EDGE_LOCAL out of range"));
-            }
-            if edge_dst[e] as usize >= num_nodes {
-                return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
+        for (s, sh) in shards.iter().enumerate() {
+            for (local, (e, range)) in sh.csr_edges.iter().zip(sh.span_off.windows(2)).enumerate() {
+                let (Some(&owner), Some(&slot)) =
+                    (edge_shard.get(e.index()), edge_local.get(e.index()))
+                else {
+                    return Err(TvgiError::Inconsistent("CSR_EDGES out of range"));
+                };
+                if owner as usize != s || slot as usize != local {
+                    return Err(TvgiError::Inconsistent(
+                        "EDGE_SHARD/EDGE_LOCAL do not point back at the edge's CSR slot",
+                    ));
+                }
+                let spans = &sh.spans[range[0] as usize..range[1] as usize];
+                if spans.iter().any(|(start, end)| start >= end)
+                    || spans.windows(2).any(|w| w[0].1 >= w[1].0)
+                {
+                    return Err(TvgiError::Inconsistent(
+                        "an edge's spans are not sorted, non-empty, disjoint and non-adjacent",
+                    ));
+                }
             }
         }
-        for sh in &shards {
-            if sh.csr_edges.iter().any(|&e| e as usize >= num_edges) {
-                return Err(TvgiError::Inconsistent("CSR_EDGES out of range"));
-            }
+        if edge_dst.iter().any(|&d| d as usize >= num_nodes) {
+            return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
         }
         if event_edge
             .iter()
@@ -1130,22 +1170,18 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
     fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
         let sh = &self.shards[self.edge_shard[e.index()] as usize];
         let local = self.edge_local[e.index()] as usize;
-        let lo = sh.span_off[local] as usize * 2;
-        let hi = sh.span_off[local + 1] as usize * 2;
-        SpanView::Flat(&sh.spans[lo..hi])
+        SpanView(&sh.spans[sh.span_off[local] as usize..sh.span_off[local + 1] as usize])
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
         self.edge_mono[e.index()] != 0
     }
 
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
+    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
         let s = self.shard_of(n);
         let sh = &self.shards[s as usize];
         let local = n.index() - self.shard_ranges[s as usize] as usize;
-        let lo = sh.csr_off[local] as usize;
-        let hi = sh.csr_off[local + 1] as usize;
-        EdgeRefs::Raw(&sh.csr_edges[lo..hi])
+        &sh.csr_edges[sh.csr_off[local] as usize..sh.csr_off[local + 1] as usize]
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {
@@ -1195,38 +1231,20 @@ mod tests {
     }
 
     fn assert_equivalent(idx: &TvgIndex<'_, u64>, mapped: &ShardedIndex<u64>) {
-        assert_eq!(TemporalIndex::num_nodes(idx), mapped.num_nodes());
-        assert_eq!(
-            TemporalIndex::num_edges(idx),
-            TemporalIndex::num_edges(mapped)
-        );
-        assert_eq!(idx.horizon(), TemporalIndex::horizon(mapped));
-        for e in (0..TemporalIndex::num_edges(idx)).map(EdgeId::from_index) {
-            assert_eq!(
-                idx.presence(e).view(),
-                TemporalIndex::presence(mapped, e),
-                "{e} spans"
-            );
-            assert_eq!(
-                idx.arrival_is_monotone(e),
-                TemporalIndex::arrival_is_monotone(mapped, e)
-            );
-            assert_eq!(idx.tvg().edge(e).dst(), TemporalIndex::dst(mapped, e));
+        assert_eq!(idx.num_nodes(), mapped.num_nodes());
+        assert_eq!(idx.num_edges(), mapped.num_edges());
+        assert_eq!(idx.horizon(), mapped.horizon());
+        for e in (0..idx.num_edges()).map(EdgeId::from_index) {
+            assert_eq!(idx.presence(e), mapped.presence(e), "{e} spans");
+            assert_eq!(idx.arrival_is_monotone(e), mapped.arrival_is_monotone(e));
+            assert_eq!(idx.tvg().edge(e).dst(), mapped.dst(e));
             for t in [0u64, 1, 3, 7, 11] {
-                assert_eq!(
-                    idx.arrival(e, &t),
-                    TemporalIndex::arrival(mapped, e, &t),
-                    "{e}@{t}"
-                );
-                assert_eq!(idx.traverse(e, &t), TemporalIndex::traverse(mapped, e, &t));
+                assert_eq!(idx.arrival(e, &t), mapped.arrival(e, &t), "{e}@{t}");
+                assert_eq!(idx.traverse(e, &t), mapped.traverse(e, &t));
             }
         }
-        for n in (0..TemporalIndex::num_nodes(idx)).map(NodeId::from_index) {
-            assert_eq!(
-                EdgeRefs::Ids(idx.out_edges(n)),
-                TemporalIndex::out_edges(mapped, n),
-                "{n} adjacency"
-            );
+        for n in (0..idx.num_nodes()).map(NodeId::from_index) {
+            assert_eq!(idx.out_edges(n), mapped.out_edges(n), "{n} adjacency");
         }
         assert_eq!(idx.edge_events(), mapped.edge_events().as_slice());
     }
@@ -1271,10 +1289,7 @@ mod tests {
         // …and the right width answers like the narrowed compile.
         let mapped = ShardedIndex::<u32>::open(&path).expect("open");
         let e = EdgeId::from_index(1);
-        assert_eq!(
-            idx32.traverse(e, &6),
-            TemporalIndex::traverse(&mapped, e, &6)
-        );
+        assert_eq!(idx32.traverse(e, &6), mapped.traverse(e, &6));
         assert_eq!(peek_tvgi(&path).expect("peek").width, 4);
         std::fs::remove_file(&path).ok();
     }
@@ -1310,9 +1325,9 @@ mod tests {
         let mapped = ShardedIndex::<u64>::open(&path).expect("open");
         // Every cross-shard edge's target shard appears in its source
         // shard's boundary summary.
-        for e in (0..TemporalIndex::num_edges(&mapped)).map(EdgeId::from_index) {
+        for e in (0..mapped.num_edges()).map(EdgeId::from_index) {
             let s = mapped.edge_shard[e.index()];
-            let t = mapped.shard_of(TemporalIndex::dst(&mapped, e));
+            let t = mapped.shard_of(mapped.dst(e));
             if s != t {
                 assert!(mapped.boundary(s).contains(&t), "{e}: {s}→{t}");
             }

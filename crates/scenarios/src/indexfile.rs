@@ -3,13 +3,14 @@
 //! the opened [`ShardedIndex`] with no recompilation.
 //!
 //! [`compile_index`] makes exactly the time-domain decision
-//! [`Scenario::run`] makes — [`narrow_tvg`] plus the policy-arithmetic
-//! check — so a `.tvgi` written here holds the same index, in the same
-//! domain, that a direct run would have compiled; the file's stored
-//! width (4 or 8 bytes per time word) records which way the decision
-//! went. [`run_with_index`] reads that width back, opens the file in
-//! the matching domain, and dispatches the scenario's plan through the
-//! same generic batch runners a direct run uses — producing a
+//! [`Scenario::run`] makes — both call one function, which applies
+//! [`tvg_model::narrow_tvg`] plus the policy-arithmetic check — so a
+//! `.tvgi` written here holds the same index, in the same domain, that
+//! a direct run would have compiled; the file's stored width (4 or 8
+//! bytes per time word) records which way the decision went.
+//! [`run_with_index`] reads that width back, opens the file in the
+//! matching domain, and dispatches the scenario's plan through the same
+//! batch-plan dispatcher a direct run uses — producing a
 //! [`Report`] whose canonical bytes are identical to `Scenario::run`'s
 //! (the round-trip oracle in the testkit pins this).
 //!
@@ -22,15 +23,13 @@
 //! workload, not a generic graph container.
 
 use crate::report::Report;
-use crate::run::{
-    narrow_policy, run_broadcast_plan, run_matrix, run_matrix_sample, run_single_source,
-};
+use crate::run::{narrow_batch, run_batch_plan};
 use crate::spec::{Plan, Scenario};
 use std::path::Path;
 use tvg_dynnet::json::Json;
 use tvg_journeys::{SearchLimits, WaitingPolicy};
 use tvg_model::tvgi::{peek_tvgi, write_tvgi, ShardedIndex, TvgiError, TvgiSummary, TvgiTime};
-use tvg_model::{narrow_tvg, TemporalIndex, TvgIndex};
+use tvg_model::{TemporalIndex, TvgIndex};
 
 /// A compile-to-file or run-from-file failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,17 +87,6 @@ fn require_batch_plan(scenario: &Scenario) -> Result<(), IndexFileError> {
     }
 }
 
-/// The plan's start instant, exactly as [`Scenario::run`] extracts it
-/// for the narrowing decision (plans without one start at 0).
-fn plan_start(plan: &Plan) -> u64 {
-    match plan {
-        Plan::SingleSource { start, .. }
-        | Plan::Matrix { start, .. }
-        | Plan::MatrixSample { start, .. } => *start,
-        _ => 0,
-    }
-}
-
 /// Builds the scenario's TVG, compiles its index in the same time
 /// domain a direct [`Scenario::run`] would pick, and serializes it to
 /// `path` as a `.tvgi` with `shards` node-range shards, embedding the
@@ -115,20 +103,14 @@ pub fn compile_index(
 ) -> Result<TvgiSummary, IndexFileError> {
     require_batch_plan(scenario)?;
     let g = scenario.build_graph();
-    let limits = scenario.limits();
     let spec = scenario.to_string();
-    let start = plan_start(scenario.plan());
-    let summary = match (
-        narrow_tvg(&g, limits.horizon),
-        narrow_policy(scenario.policy(), limits.horizon),
-    ) {
-        (Ok(narrowed), Some(_)) if start <= limits.horizon => {
-            let horizon = u32::try_from(limits.horizon).expect("narrowing checked the horizon");
-            let index = TvgIndex::compile(&narrowed, horizon);
+    let summary = match narrow_batch(scenario, &g) {
+        Some((narrowed, _, limits)) => {
+            let index = TvgIndex::compile(&narrowed, limits.horizon);
             write_tvgi(&index, shards, Some(&spec), path)?
         }
-        _ => {
-            let index = TvgIndex::compile(&g, limits.horizon);
+        None => {
+            let index = TvgIndex::compile(&g, scenario.limits().horizon);
             write_tvgi(&index, shards, Some(&spec), path)?
         }
     };
@@ -156,7 +138,7 @@ pub fn run_with_index(scenario: &Scenario, path: &Path) -> Result<Report, IndexF
 }
 
 /// Converts the scenario's `u64` policy into the file's time domain.
-/// A `u32` file exists only because [`narrow_policy`] proved the
+/// A `u32` file exists only because the narrowing decision proved the
 /// bounded delay fits, so the conversion cannot truncate.
 fn policy_in<T: TvgiTime>(policy: &WaitingPolicy<u64>) -> WaitingPolicy<T> {
     match policy {
@@ -177,40 +159,13 @@ fn run_on<T: TvgiTime + Send + Sync>(
             scenario: scenario.name().to_string(),
         });
     }
-    let batch = scenario.batch();
     let limits = SearchLimits::new(
         T::from_u64(scenario.plan().horizon()),
         scenario.plan().max_hops(),
     );
     let policy = policy_in::<T>(scenario.policy());
-    let (results, engine) = match scenario.plan() {
-        Plan::SingleSource { src, start, .. } => {
-            run_single_source(&index, batch, *src, &T::from_u64(*start), &policy, &limits)
-        }
-        Plan::Matrix { start, .. } => {
-            run_matrix(&index, batch, &T::from_u64(*start), &policy, &limits)
-        }
-        Plan::MatrixSample {
-            sources,
-            seed,
-            start,
-            ..
-        } => run_matrix_sample(
-            &index,
-            batch,
-            *sources,
-            *seed,
-            &T::from_u64(*start),
-            &policy,
-            &limits,
-        ),
-        Plan::Broadcast {
-            source, beacons, ..
-        } => run_broadcast_plan(&index, batch, *source, *beacons, &policy, &limits),
-        Plan::Streaming { .. } | Plan::Serve { .. } => {
-            unreachable!("require_batch_plan rejected feed-defined plans")
-        }
-    };
+    let (results, engine) =
+        run_batch_plan(&index, scenario.batch(), scenario.plan(), &policy, &limits);
     Ok(Report {
         scenario: scenario.name().to_string(),
         generator: scenario.generator().name(),

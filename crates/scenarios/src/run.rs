@@ -98,30 +98,11 @@ impl Scenario {
                 (outcome, timing)
             }
             plan => {
-                // Timeline compression: when the horizon, start, and
-                // policy arithmetic all provably fit `u32`, run the plan
-                // on a narrowed graph — same answers, same engine stats,
-                // half the time-key bytes in the hot loops. Any doubt
-                // (`NarrowError`, an unprovable bound) falls back to the
-                // exact `u64` path transparently.
-                let start = match plan {
-                    Plan::SingleSource { start, .. }
-                    | Plan::Matrix { start, .. }
-                    | Plan::MatrixSample { start, .. } => *start,
-                    _ => 0,
-                };
-                let outcome = match (
-                    narrow_tvg(&g, limits.horizon),
-                    narrow_policy(self.policy(), limits.horizon),
-                ) {
-                    (Ok(narrowed), Some(policy)) if start <= limits.horizon => {
-                        let limits = SearchLimits::new(
-                            u32::try_from(limits.horizon).expect("narrowing checked the horizon"),
-                            limits.max_hops,
-                        );
-                        run_batch_plan(&narrowed, batch, plan, &policy, &limits)
+                let outcome = match narrow_batch(self, &g) {
+                    Some((narrowed, policy, limits)) => {
+                        compile_and_run(&narrowed, batch, plan, &policy, &limits)
                     }
-                    _ => run_batch_plan(&g, batch, plan, self.policy(), &limits),
+                    None => compile_and_run(&g, batch, plan, self.policy(), &limits),
                 };
                 (outcome, Json::Null)
             }
@@ -148,10 +129,7 @@ impl Scenario {
 /// arithmetic provably cannot diverge there: `wait[d]` computes
 /// `ready + d` before clamping, so every admissible `ready <= horizon`
 /// must keep that sum in range. `None` keeps the `u64` path.
-pub(crate) fn narrow_policy(
-    policy: &WaitingPolicy<u64>,
-    horizon: u64,
-) -> Option<WaitingPolicy<u32>> {
+fn narrow_policy(policy: &WaitingPolicy<u64>, horizon: u64) -> Option<WaitingPolicy<u32>> {
     match policy {
         WaitingPolicy::NoWait => Some(WaitingPolicy::NoWait),
         WaitingPolicy::Unbounded => Some(WaitingPolicy::Unbounded),
@@ -162,10 +140,34 @@ pub(crate) fn narrow_policy(
     }
 }
 
-/// Compiles the graph and dispatches one batch plan (single-source,
-/// matrix, or broadcast), in whichever time domain the caller settled
-/// on. Returns the plan outcome plus the compiled edge-event count.
-fn run_batch_plan<T: Time + Send + Sync>(
+/// The time-domain decision of a batch plan, made here once for both
+/// [`Scenario::run`] and `compile_index`. Timeline compression: when
+/// the horizon, start, and policy arithmetic all provably fit `u32`,
+/// the plan runs on a narrowed graph — same answers, same engine
+/// stats, half the time-key bytes in the hot loops. `None` (a
+/// `NarrowError`, an unprovable bound) keeps the exact `u64` path.
+pub(crate) fn narrow_batch(
+    scenario: &Scenario,
+    g: &Tvg<u64>,
+) -> Option<(Tvg<u32>, WaitingPolicy<u32>, SearchLimits<u32>)> {
+    let limits = scenario.limits();
+    if scenario.plan().start() > limits.horizon {
+        return None;
+    }
+    let policy = narrow_policy(scenario.policy(), limits.horizon)?;
+    let narrowed = narrow_tvg(g, limits.horizon).ok()?;
+    let horizon = u32::try_from(limits.horizon).expect("narrowing checked the horizon");
+    Some((
+        narrowed,
+        policy,
+        SearchLimits::new(horizon, limits.max_hops),
+    ))
+}
+
+/// Compiles the graph and runs one batch plan on it, in whichever time
+/// domain [`narrow_batch`] settled on. Returns the plan outcome plus
+/// the compiled edge-event count.
+fn compile_and_run<T: Time + Send + Sync>(
     g: &Tvg<T>,
     batch: Batch,
     plan: &Plan,
@@ -173,37 +175,39 @@ fn run_batch_plan<T: Time + Send + Sync>(
     limits: &SearchLimits<T>,
 ) -> ((Json, EngineStats), usize) {
     let index = TvgIndex::compile(g, limits.horizon.clone());
-    let events = index.num_edge_events();
-    let outcome = match plan {
-        Plan::SingleSource { src, start, .. } => {
-            run_single_source(&index, batch, *src, &T::from_u64(*start), policy, limits)
-        }
-        Plan::Matrix { start, .. } => {
-            run_matrix(&index, batch, &T::from_u64(*start), policy, limits)
-        }
-        Plan::MatrixSample {
-            sources,
-            seed,
-            start,
-            ..
-        } => run_matrix_sample(
-            &index,
-            batch,
-            *sources,
-            *seed,
-            &T::from_u64(*start),
-            policy,
-            limits,
-        ),
-        Plan::Broadcast {
-            source, beacons, ..
-        } => run_broadcast_plan(&index, batch, *source, *beacons, policy, limits),
-        Plan::Streaming { .. } | Plan::Serve { .. } => unreachable!("handled by the caller"),
-    };
-    (outcome, events)
+    let outcome = run_batch_plan(&index, batch, plan, policy, limits);
+    (outcome, index.num_edge_events())
 }
 
-pub(crate) fn run_single_source<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+/// Dispatches one batch plan (single-source, matrix, sampled matrix or
+/// broadcast) on any index form: the compiled index of a direct run or
+/// the opened `.tvgi` of an indexed one.
+pub(crate) fn run_batch_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+    index: &I,
+    batch: Batch,
+    plan: &Plan,
+    policy: &WaitingPolicy<T>,
+    limits: &SearchLimits<T>,
+) -> (Json, EngineStats) {
+    let start = T::from_u64(plan.start());
+    match plan {
+        Plan::SingleSource { src, .. } => {
+            run_single_source(index, batch, *src, &start, policy, limits)
+        }
+        Plan::Matrix { .. } => run_matrix(index, batch, &start, policy, limits),
+        Plan::MatrixSample { sources, seed, .. } => {
+            run_matrix_sample(index, batch, *sources, *seed, &start, policy, limits)
+        }
+        Plan::Broadcast {
+            source, beacons, ..
+        } => run_broadcast_plan(index, batch, *source, *beacons, policy, limits),
+        Plan::Streaming { .. } | Plan::Serve { .. } => {
+            unreachable!("feed-defined plans never reach the batch dispatcher")
+        }
+    }
+}
+
+fn run_single_source<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
     index: &I,
     batch: Batch,
     src: usize,
@@ -229,7 +233,7 @@ pub(crate) fn run_single_source<T: Time + Send + Sync, I: TemporalIndex<T> + Syn
     (results, out.stats())
 }
 
-pub(crate) fn run_matrix<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+fn run_matrix<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
     index: &I,
     batch: Batch,
     start: &T,
@@ -297,7 +301,7 @@ pub(crate) fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
 /// row inside the batch workers — the full-tree arrays never
 /// accumulate, which is what keeps the million-node scale job's
 /// resident set bounded by the index, not by `sources × n` trees.
-pub(crate) fn run_matrix_sample<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+fn run_matrix_sample<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
     index: &I,
     batch: Batch,
     sources: usize,
@@ -325,7 +329,7 @@ pub(crate) fn run_matrix_sample<T: Time + Send + Sync, I: TemporalIndex<T> + Syn
     (results, stats)
 }
 
-pub(crate) fn run_broadcast_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+fn run_broadcast_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
     index: &I,
     batch: Batch,
     source: Option<usize>,

@@ -442,6 +442,20 @@ impl Plan {
         }
     }
 
+    /// The plan's journey start instant (0 for `broadcast`, whose
+    /// sources are informed from the first instant).
+    #[must_use]
+    pub fn start(&self) -> u64 {
+        match self {
+            Plan::SingleSource { start, .. }
+            | Plan::Matrix { start, .. }
+            | Plan::MatrixSample { start, .. }
+            | Plan::Streaming { start, .. }
+            | Plan::Serve { start, .. } => *start,
+            Plan::Broadcast { .. } => 0,
+        }
+    }
+
     /// The plan's hop bound.
     #[must_use]
     pub fn max_hops(&self) -> usize {

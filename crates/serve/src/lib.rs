@@ -9,7 +9,7 @@
 //!
 //! * [`snapshot`] — epoch/RCU-style publication. A single writer clones
 //!   the live index between ingest ticks ([`tvg_model::TvgStream::snapshot`])
-//!   and publishes each copy as an immutable `Arc<`[`ServeSnapshot`]`>`
+//!   and publishes each copy as an immutable `Arc<`[`Snapshot`]`>`
 //!   through an [`EpochRing`]; readers acquire views with one atomic
 //!   load and an `Arc` clone — no locks anywhere on the read path, in
 //!   safe Rust only.
@@ -40,4 +40,4 @@ pub use runner::{
     availability, epoch_of, serve, Answer, PublishStats, ServeConfig, ServeOutcome, ServeTiming,
     ServedRequest,
 };
-pub use snapshot::{EpochRing, ServeSnapshot};
+pub use snapshot::{EpochRing, Snapshot};

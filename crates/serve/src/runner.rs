@@ -27,7 +27,7 @@
 //! the actual engine passes so reports can show the amortization.
 
 use crate::load::{Request, TimedRequest};
-use crate::snapshot::{EpochRing, ServeSnapshot};
+use crate::snapshot::{EpochRing, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use tvg_journeys::{foremost_tree_multi, EngineStats, SearchLimits, WaitingPolicy};
@@ -411,7 +411,7 @@ impl PublishLog {
 
     fn publish(&mut self, ring: &EpochRing<u64>, stream: &TvgStream<u64>, epoch: u64, events: u64) {
         let t0 = Instant::now();
-        ring.publish(ServeSnapshot::new(epoch, stream.snapshot()));
+        ring.publish(epoch, stream.snapshot());
         self.micros += t0.elapsed().as_micros();
         let copied = stream.index().chunks_copied();
         self.publications.push(PublishStats {
@@ -427,7 +427,7 @@ impl PublishLog {
 /// Answers one group with a single engine pass over its pinned
 /// snapshot.
 fn serve_group(
-    snapshot: &std::sync::Arc<ServeSnapshot<u64>>,
+    snapshot: &Snapshot<u64>,
     class: GroupClass,
     src: usize,
     members: &[usize],
@@ -442,7 +442,7 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
-    let tree = foremost_tree_multi(snapshot, &seeds, &config.policy, &config.limits);
+    let tree = foremost_tree_multi(&snapshot.index, &seeds, &config.policy, &config.limits);
     let answers = members
         .iter()
         .map(|&i| {
@@ -453,7 +453,7 @@ fn serve_group(
                 Request::Matrix { .. } => Answer::Reached(tree.num_reached() as u64),
                 Request::Broadcast { .. } => Answer::Informed(tree.num_reached() as u64),
             };
-            (i, snapshot.epoch(), answer)
+            (i, snapshot.epoch, answer)
         })
         .collect();
     (answers, tree.stats())

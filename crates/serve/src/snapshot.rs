@@ -1,15 +1,15 @@
 //! Epoch-published immutable snapshots of a live schedule.
 //!
 //! The serve runtime's single writer turns a [`tvg_model::TvgStream`]
-//! into a sequence of [`ServeSnapshot`]s — one per ingest tick, each an
-//! immutable structure-sharing view of the live index tagged with its
+//! into a sequence of [`Snapshot`]s — one per ingest tick, each an
+//! immutable structure-sharing copy of the live index tagged with its
 //! epoch — and publishes them through an [`EpochRing`]. The live
 //! index's persistent chunked columns (`tvg_model::pcol`) make each
 //! publication O(changes in the tick): the snapshot shares every frozen
 //! chunk with the live index, and the stream copies-on-write only the
 //! chunks the next tick's mutations land in. Publication is RCU-style:
 //! readers never take a lock, never block the writer, and a reader
-//! holding an `Arc<ServeSnapshot>` keeps answering from that epoch no
+//! holding an `Arc<Snapshot>` keeps answering from that epoch no
 //! matter how far the writer has advanced.
 //!
 //! The ring is built from safe primitives only (the workspace forbids
@@ -23,121 +23,24 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tvg_model::stream::LiveIndex;
-use tvg_model::{EdgeId, EdgeRefs, IntervalSet, NodeId, SpanView, TemporalIndex, Time, Tvg};
+use tvg_model::Time;
 
 /// One immutable view of the schedule as of a publication epoch.
 ///
 /// Epoch 0 is the state before any ingest tick; epoch `i + 1` is the
-/// state after tick `i`. The wrapped [`LiveIndex`] is a persistent
-/// snapshot: it *shares* every frozen chunk with the stream's live
-/// index (copy-on-write keeps later mutations away from it), so the
-/// snapshot answers queries forever unchanged — the pinning property
-/// the `servecheck` oracle pins byte-for-byte — while costing
-/// O(changes), not O(index), to take.
+/// state after tick `i`. The [`LiveIndex`] is a persistent snapshot: it
+/// *shares* every frozen chunk with the stream's live index
+/// (copy-on-write keeps later mutations away from it), so it answers
+/// queries forever unchanged — the pinning property the `servecheck`
+/// oracle pins byte-for-byte — while costing O(changes), not O(index),
+/// to take. Readers query `index` directly through
+/// [`tvg_model::TemporalIndex`].
 #[derive(Debug, Clone)]
-pub struct ServeSnapshot<T> {
-    epoch: u64,
-    index: LiveIndex<T>,
-}
-
-impl<T: Time> ServeSnapshot<T> {
-    /// Wraps an index snapshot as the view of `epoch`.
-    #[must_use]
-    pub fn new(epoch: u64, index: LiveIndex<T>) -> Self {
-        ServeSnapshot { epoch, index }
-    }
-
+pub struct Snapshot<T> {
     /// The publication epoch this snapshot represents.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The frozen index behind this snapshot.
-    #[must_use]
-    pub fn index(&self) -> &LiveIndex<T> {
-        &self.index
-    }
-
-    /// The underlying TVG this snapshot froze.
-    #[must_use]
-    pub fn tvg(&self) -> &Tvg<T> {
-        self.index.tvg()
-    }
-
-    /// The horizon the snapshot answers under.
-    #[must_use]
-    pub fn horizon(&self) -> &T {
-        self.index.horizon()
-    }
-
-    /// The frozen presence intervals of `e` in native form.
-    #[must_use]
-    pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
-        self.index.presence(e)
-    }
-
-    /// Whether arrival is monotone over departures for `e`.
-    #[must_use]
-    pub fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.index.arrival_is_monotone(e)
-    }
-
-    /// The out-edges of `n` as a native slice.
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.index.out_edges(n)
-    }
-
-    /// The destination of `e`.
-    #[must_use]
-    pub fn dst(&self, e: EdgeId) -> NodeId {
-        self.index.dst(e)
-    }
-
-    /// Arrival of a crossing of `e` departing at `t`, if present.
-    #[must_use]
-    pub fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        self.index.arrival(e, t)
-    }
-}
-
-/// A snapshot answers exactly like the live index it froze: every
-/// consumer generic over [`TemporalIndex`] (the engine, the batch
-/// runtime, the simulators) accepts it — and, via the model crate's
-/// blanket impl, an `Arc<ServeSnapshot>` too.
-impl<T: Time> TemporalIndex<T> for ServeSnapshot<T> {
-    fn num_nodes(&self) -> usize {
-        self.index.tvg().num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.index.tvg().num_edges()
-    }
-
-    fn horizon(&self) -> &T {
-        self.index.horizon()
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        ServeSnapshot::presence(self, e).view()
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.index.arrival_is_monotone(e)
-    }
-
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        EdgeRefs::Ids(ServeSnapshot::out_edges(self, n))
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        self.index.dst(e)
-    }
-
-    fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        self.index.arrival(e, t)
-    }
+    pub epoch: u64,
+    /// The frozen index as of `epoch`.
+    pub index: LiveIndex<T>,
 }
 
 /// The lock-free publication channel between one writer and any number
@@ -149,7 +52,7 @@ impl<T: Time> TemporalIndex<T> for ServeSnapshot<T> {
 /// stays readable for the rest of the run.
 #[derive(Debug)]
 pub struct EpochRing<T> {
-    slots: Vec<OnceLock<Arc<ServeSnapshot<T>>>>,
+    slots: Vec<OnceLock<Arc<Snapshot<T>>>>,
     published: AtomicUsize,
 }
 
@@ -178,8 +81,8 @@ impl<T: Time> EpochRing<T> {
         self.published.load(Ordering::Acquire)
     }
 
-    /// Publishes the next epoch. Writer-side only, epochs in order:
-    /// `snapshot.epoch()` must equal the current published count.
+    /// Publishes `index` as the next epoch. Writer-side only, epochs in
+    /// order: `epoch` must equal the current published count.
     ///
     /// The slot write happens-before the counter bump (release), so any
     /// reader that observes the new count sees the initialized slot.
@@ -188,16 +91,15 @@ impl<T: Time> EpochRing<T> {
     ///
     /// Panics if the ring is full, the epoch is out of order, or the
     /// slot was somehow already set (a second writer).
-    pub fn publish(&self, snapshot: ServeSnapshot<T>) {
+    pub fn publish(&self, epoch: u64, index: LiveIndex<T>) {
         let next = self.published.load(Ordering::Relaxed);
         assert!(next < self.slots.len(), "epoch ring is full");
         assert_eq!(
-            snapshot.epoch(),
-            next as u64,
+            epoch, next as u64,
             "epochs publish in order (expected {next})"
         );
         self.slots[next]
-            .set(Arc::new(snapshot))
+            .set(Arc::new(Snapshot { epoch, index }))
             .unwrap_or_else(|_| panic!("epoch {next} published twice"));
         self.published.store(next + 1, Ordering::Release);
     }
@@ -205,7 +107,7 @@ impl<T: Time> EpochRing<T> {
     /// The snapshot of `epoch`, if it has been published yet. Readers
     /// call this freely from any thread; it never blocks.
     #[must_use]
-    pub fn get(&self, epoch: u64) -> Option<Arc<ServeSnapshot<T>>> {
+    pub fn get(&self, epoch: u64) -> Option<Arc<Snapshot<T>>> {
         let published = self.published.load(Ordering::Acquire) as u64;
         if epoch >= published {
             return None;
@@ -216,7 +118,7 @@ impl<T: Time> EpochRing<T> {
 
     /// The most recently published snapshot, if any.
     #[must_use]
-    pub fn latest(&self) -> Option<Arc<ServeSnapshot<T>>> {
+    pub fn latest(&self) -> Option<Arc<Snapshot<T>>> {
         match self.published.load(Ordering::Acquire) {
             0 => None,
             n => self.slots[n - 1].get().cloned(),
@@ -232,7 +134,7 @@ impl<T: Time> EpochRing<T> {
     /// Panics if `epoch` is beyond the ring's capacity — such an epoch
     /// can never be published, so waiting would hang forever.
     #[must_use]
-    pub fn wait(&self, epoch: u64) -> Arc<ServeSnapshot<T>> {
+    pub fn wait(&self, epoch: u64) -> Arc<Snapshot<T>> {
         assert!(
             epoch < self.capacity() as u64,
             "epoch {epoch} exceeds ring capacity {}",
@@ -251,12 +153,12 @@ impl<T: Time> EpochRing<T> {
 mod tests {
     use super::*;
     use tvg_model::stream::TvgStream;
-    use tvg_model::Latency;
+    use tvg_model::{Latency, TemporalIndex};
 
-    fn snapshot_at(epoch: u64) -> ServeSnapshot<u64> {
+    fn index() -> LiveIndex<u64> {
         let mut s = TvgStream::new(10).expect("representable");
         s.add_node("a");
-        ServeSnapshot::new(epoch, s.snapshot())
+        s.snapshot()
     }
 
     #[test]
@@ -265,22 +167,22 @@ mod tests {
         assert_eq!(ring.published(), 0);
         assert!(ring.get(0).is_none());
         assert!(ring.latest().is_none());
-        ring.publish(snapshot_at(0));
-        ring.publish(snapshot_at(1));
+        ring.publish(0, index());
+        ring.publish(1, index());
         assert_eq!(ring.published(), 2);
-        assert_eq!(ring.get(0).expect("published").epoch(), 0);
-        assert_eq!(ring.latest().expect("published").epoch(), 1);
+        assert_eq!(ring.get(0).expect("published").epoch, 0);
+        assert_eq!(ring.latest().expect("published").epoch, 1);
         // Unpublished epochs are invisible, not errors.
         assert!(ring.get(2).is_none());
-        ring.publish(snapshot_at(2));
-        assert_eq!(ring.wait(2).epoch(), 2);
+        ring.publish(2, index());
+        assert_eq!(ring.wait(2).epoch, 2);
     }
 
     #[test]
     #[should_panic(expected = "epochs publish in order")]
     fn out_of_order_publication_is_rejected() {
         let ring: EpochRing<u64> = EpochRing::new(3);
-        ring.publish(snapshot_at(1));
+        ring.publish(1, index());
     }
 
     #[test]
@@ -291,15 +193,16 @@ mod tests {
         let e = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
         s.ingest(&[tvg_model::stream::StreamEvent::Up { edge: e, at: 2 }])
             .expect("valid feed");
-        let snap = Arc::new(ServeSnapshot::new(0, s.snapshot()));
-        // The Arc'd snapshot is a TemporalIndex in its own right.
-        assert!(snap.is_present(e, &4));
-        assert_eq!(snap.presence(e).spans(), s.index().presence(e).spans());
-        assert_eq!(snap.out_edges(u).to_vec(), s.index().out_edges(u));
+        let ring: EpochRing<u64> = EpochRing::new(1);
+        ring.publish(0, s.snapshot());
+        let snap = ring.latest().expect("published");
+        assert!(snap.index.is_present(e, &4));
+        assert_eq!(snap.index.presence(e), s.index().presence(e));
+        assert_eq!(snap.index.out_edges(u), s.index().out_edges(u));
         // ...and stays frozen while the stream moves on.
         s.ingest(&[tvg_model::stream::StreamEvent::Down { edge: e, at: 5 }])
             .expect("valid feed");
-        assert_eq!(snap.presence(e).spans(), &[(2, 11)]);
+        assert_eq!(snap.index.presence(e).spans(), &[(2, 11)]);
         assert_eq!(s.index().presence(e).spans(), &[(2, 5)]);
     }
 }

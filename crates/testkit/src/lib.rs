@@ -46,10 +46,13 @@
 //!   witnesses, engine counters) to the in-memory compile it
 //!   serialized, at every shard count.
 //! * [`servecheck`] — the serve-runtime oracles: a pinned
-//!   `Arc<ServeSnapshot>` answers byte-identically while the writer
+//!   `Arc<Snapshot>` answers byte-identically while the writer
 //!   publishes newer epochs, served answers equal from-scratch
 //!   computations on their pinned tick prefix, and the logical outcome
 //!   is reader-count invariant.
+//! * [`waitcheck`] — the paper's waiting monotonicity on any index
+//!   form: reach under `nowait` ⊆ `wait[1]` ⊆ `wait[2]` ⊆ `wait`, and
+//!   foremost arrivals never increase along that chain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,6 +69,7 @@ pub mod speccheck;
 pub mod streamcheck;
 pub mod tickscan;
 pub mod tvgicheck;
+pub mod waitcheck;
 
 pub use prop::{check, check_with, Config};
 pub use rng::{case_rng, rng_for, seed_for};

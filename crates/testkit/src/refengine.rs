@@ -226,7 +226,7 @@ fn pareto_explore<T: Time, I: TemporalIndex<T>>(
         if hops == limits.max_hops || time > limits.horizon {
             continue;
         }
-        for e in index.out_edges(node).iter() {
+        for &e in index.out_edges(node) {
             let succ = index.dst(e);
             let best_crossing: Option<(T, T)> = if index.arrival_is_monotone(e) {
                 index

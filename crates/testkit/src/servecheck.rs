@@ -5,7 +5,7 @@
 //! generated workloads (extending the `streamcheck` oracle family from
 //! the live index to the publication layer above it):
 //!
-//! 1. **Pinning** — a reader holding an old `Arc<ServeSnapshot>` keeps
+//! 1. **Pinning** — a reader holding an old `Arc<Snapshot>` keeps
 //!    getting byte-identical answers from it while the writer publishes
 //!    arbitrarily many newer epochs ([`assert_pinned_snapshot_is_frozen`]
 //!    checks this *during* real concurrent publication, not after it);
@@ -25,13 +25,12 @@
 //!    from-scratch rebuild of its epoch's tick prefix
 //!    ([`assert_snapshots_match_rebuild`]).
 
-use std::sync::Arc;
 use tvg_journeys::{foremost_tree_multi, SearchLimits, WaitingPolicy};
 use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
 use tvg_model::{NodeId, TemporalIndex, Tvg};
 use tvg_serve::{
-    availability, epoch_of, serve, Answer, EpochRing, PublishStats, Request, ServeConfig,
-    ServeSnapshot, TimedRequest,
+    availability, epoch_of, serve, Answer, EpochRing, PublishStats, Request, ServeConfig, Snapshot,
+    TimedRequest,
 };
 
 /// Replays `g` into a fresh stream and chops the feed into ingest ticks
@@ -56,13 +55,14 @@ pub fn replay_ticks(
 /// every node's foremost arrival, in node order. Two snapshots are
 /// "byte-identical" to a client exactly when these vectors are equal.
 fn answer_surface(
-    snapshot: &Arc<ServeSnapshot<u64>>,
+    snapshot: &Snapshot<u64>,
     src: NodeId,
     policy: &WaitingPolicy<u64>,
     limits: &SearchLimits<u64>,
 ) -> Vec<Option<u64>> {
-    let tree = foremost_tree_multi(snapshot, &[(src, 0u64)], policy, limits);
+    let tree = foremost_tree_multi(&snapshot.index, &[(src, 0u64)], policy, limits);
     snapshot
+        .index
         .tvg()
         .nodes()
         .map(|n| tree.arrival(n).copied())
@@ -95,7 +95,7 @@ pub fn assert_pinned_snapshot_is_frozen(
     let limits = SearchLimits::new(horizon, hops);
     let src = NodeId::from_index(0);
     let ring: EpochRing<u64> = EpochRing::new(ticks.len() + 1);
-    ring.publish(ServeSnapshot::new(0, stream.snapshot()));
+    ring.publish(0, stream.snapshot());
     let pinned = ring.get(0).expect("epoch 0 just published");
     let reference = answer_surface(&pinned, src, policy, &limits);
 
@@ -105,7 +105,7 @@ pub fn assert_pinned_snapshot_is_frozen(
             let mut stream = stream;
             for (i, tick) in ticks.iter().enumerate() {
                 stream.ingest(tick).expect("replay feeds are valid");
-                ring.publish(ServeSnapshot::new(i as u64 + 1, stream.snapshot()));
+                ring.publish(i as u64 + 1, stream.snapshot());
             }
         });
         // Poll the pinned snapshot throughout the writer's run: every
@@ -134,7 +134,7 @@ pub fn assert_pinned_snapshot_is_frozen(
         "{label}: pinned epoch-0 answers drifted after publication finished"
     );
     assert_eq!(
-        ring.latest().expect("published").epoch(),
+        ring.latest().expect("published").epoch,
         ticks.len() as u64,
         "{label}: latest epoch"
     );

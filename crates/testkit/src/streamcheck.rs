@@ -48,19 +48,19 @@ pub fn assert_live_matches_recompile<T: Time>(stream: &TvgStream<T>, label: &str
     for e in g.edges() {
         assert_eq!(
             live.presence(e).spans(),
-            TemporalIndex::presence(&compiled, e).spans(),
+            compiled.presence(e).spans(),
             "{label}: presence spans of {e} diverge"
         );
         assert_eq!(
             live.arrival_is_monotone(e),
-            TemporalIndex::arrival_is_monotone(&compiled, e),
+            compiled.arrival_is_monotone(e),
             "{label}: monotonicity cache of {e} diverges"
         );
     }
     for n in g.nodes() {
         assert_eq!(
             live.out_edges(n),
-            TemporalIndex::out_edges(&compiled, n).to_vec(),
+            compiled.out_edges(n),
             "{label}: adjacency of {n} diverges"
         );
     }

@@ -7,7 +7,7 @@
 //! is a pure change of representation, never of semantics.
 
 use rand::Rng;
-use tvg_model::{Time, Tvg, TvgIndex};
+use tvg_model::{TemporalIndex, Time, Tvg, TvgIndex};
 use tvg_testkit::fixtures;
 use tvg_testkit::gen;
 

@@ -1,7 +1,7 @@
 //! Properties of the serve runtime, applied to generated workloads via
 //! the [`servecheck`] oracles:
 //!
-//! * a reader holding an old `Arc<ServeSnapshot>` computes
+//! * a reader holding an old `Arc<Snapshot>` computes
 //!   byte-identical answers while the writer concurrently publishes
 //!   every later epoch (the snapshot-pinning property);
 //! * every concurrently-served answer equals a from-scratch engine run

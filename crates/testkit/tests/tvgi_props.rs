@@ -290,6 +290,41 @@ fn single_byte_corruption_never_opens_and_never_panics() {
     }
 }
 
+/// Byte range `(offset, len)` of section `id` of `shard` (`u32::MAX`
+/// for a global section), read from the section table.
+fn find_section(bytes: &[u8], id: u32, shard: u32) -> (usize, usize) {
+    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    (0..n_sections)
+        .map(|i| 24 + 24 * i)
+        .find(|&at| {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id
+                && u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) == shard
+        })
+        .map(|at| {
+            let off = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap()) as usize;
+            (off, len)
+        })
+        .unwrap_or_else(|| panic!("section {id} of shard {shard} present"))
+}
+
+/// The little-endian `u32` words of section `id` of `shard`.
+fn u32_words(bytes: &[u8], id: u32, shard: u32) -> Vec<u32> {
+    let (off, len) = find_section(bytes, id, shard);
+    bytes[off..off + len]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+fn assert_inconsistent(label: &str, forged: &[u8]) {
+    let err = open_bytes(label, forged).expect_err("a forged file must not open");
+    assert!(
+        matches!(err, TvgiError::Inconsistent(_)),
+        "{label}: unexpected error {err:?}"
+    );
+}
+
 #[test]
 fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     let (path, bytes) = valid_file("reseal");
@@ -298,24 +333,58 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     // the checksum now passes, so the cross-section consistency layer
     // must catch the lie.
     let mut forged = bytes.clone();
-    // Find the SHARD_RANGES table entry (id 10, global shard).
-    let n_sections = u32::from_le_bytes(forged[12..16].try_into().unwrap()) as usize;
-    let mut target = None;
-    for i in 0..n_sections {
-        let at = 24 + 24 * i;
-        let id = u32::from_le_bytes(forged[at..at + 4].try_into().unwrap());
-        if id == 10 {
-            let off = u64::from_le_bytes(forged[at + 8..at + 16].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(forged[at + 16..at + 24].try_into().unwrap()) as usize;
-            target = Some((off, len));
-        }
-    }
-    let (off, len) = target.expect("SHARD_RANGES present");
+    let (off, len) = find_section(&forged, 10, u32::MAX);
     forged[off + len - 4..off + len].copy_from_slice(&0u32.to_le_bytes());
     reseal(&mut forged);
-    let err = open_bytes("reseal-open", &forged).expect_err("forged partition must fail");
-    assert!(
-        matches!(err, TvgiError::Inconsistent(_)),
-        "unexpected error {err:?}"
-    );
+    assert_inconsistent("reseal-open", &forged);
+}
+
+#[test]
+fn resealed_edge_directory_sharing_a_span_list_is_refused() {
+    let (path, bytes) = valid_file("reseal-local");
+    let _ = std::fs::remove_file(&path);
+    // Point edge `f`'s EDGE_LOCAL (id 6) at edge `e`'s CSR slot in the
+    // same shard. Every word stays in range, but `f` would answer with
+    // `e`'s span list.
+    let edge_shard = u32_words(&bytes, 5, u32::MAX);
+    let edge_local = u32_words(&bytes, 6, u32::MAX);
+    let f = (1..edge_shard.len())
+        .find(|&f| edge_shard[f] == edge_shard[0])
+        .expect("two edges share shard 0's owner");
+    let mut forged = bytes.clone();
+    let (off, _) = find_section(&forged, 6, u32::MAX);
+    forged[off + 4 * f..off + 4 * f + 4].copy_from_slice(&edge_local[0].to_le_bytes());
+    reseal(&mut forged);
+    assert_inconsistent("reseal-local-open", &forged);
+}
+
+#[test]
+fn resealed_unsorted_spans_are_refused() {
+    let (path, bytes) = valid_file("reseal-spans");
+    let _ = std::fs::remove_file(&path);
+    // Swap the first two spans of an edge that has at least two, in
+    // its shard's SPANS (id 16; 8-byte words, two per span). The words
+    // stay in range and the count stays right, but binary searches over
+    // the unsorted list would miss present instants.
+    let (shard, first) = (0..3u32)
+        .find_map(|s| {
+            let (off, len) = find_section(&bytes, 15, s);
+            let span_off: Vec<u64> = bytes[off..off + len]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            span_off
+                .windows(2)
+                .find(|w| w[1] - w[0] >= 2)
+                .map(|w| (s, w[0] as usize))
+        })
+        .expect("some edge has two spans");
+    let mut forged = bytes.clone();
+    let (off, _) = find_section(&forged, 16, shard);
+    let at = off + 16 * first;
+    let (a, b) = forged[at..at + 32].split_at(16);
+    let swapped = [b, a].concat();
+    forged[at..at + 32].copy_from_slice(&swapped);
+    reseal(&mut forged);
+    assert_inconsistent("reseal-spans-open", &forged);
 }

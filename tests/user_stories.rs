@@ -8,7 +8,7 @@ use tvg_suite::journeys::{
     WaitingPolicy,
 };
 use tvg_suite::langs::word;
-use tvg_suite::model::{Latency, NodeId, Presence, TvgBuilder};
+use tvg_suite::model::{Latency, NodeId, Presence, TemporalIndex, TvgBuilder};
 use tvg_testkit::fixtures::{commuter_line, ring_bus};
 
 #[test]
