@@ -1,15 +1,19 @@
 //! Experiment harness: regenerates every table and figure of the
-//! reproduction (see `EXPERIMENTS.md` at the workspace root).
+//! reproduction (see `EXPERIMENTS.md` at the workspace root), and times
+//! the code paths behind them.
 //!
-//! Each `eN_*` function computes one experiment and returns a [`Table`]
-//! ready for printing; the `experiments` binary runs them all. Criterion
-//! benches under `benches/` measure the same code paths for scaling
-//! shape.
+//! Each `eN_*` function in [`experiments`] computes one experiment and
+//! returns a [`Table`] ready for printing; the `experiments` binary runs
+//! them all. Each [`registry`] entry measures one experiment's hot paths
+//! as named medians, and the `bench_medians` binary gates them against
+//! checked-in baselines ([`gate`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
+pub mod registry;
 pub mod table;
 
 pub use table::Table;

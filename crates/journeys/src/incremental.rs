@@ -43,8 +43,8 @@
 //! re-settling, no witness reconstruction. A refresh therefore costs
 //! `O(frontier + churn)` where the recompute baseline pays
 //! `O(accumulated schedule + full exploration)` every tick; the
-//! `stream_props` work-reuse property pins the settle ratio, and
-//! `benches/stream_ingest.rs` (experiment E9) measures the end-to-end
+//! `stream_props` work-reuse property pins the settle ratio, and the
+//! `bench_medians` E9 entry (in `tvg-bench`) measures the end-to-end
 //! gap on the scale-free feed.
 
 use crate::engine::{rebuild_labels, EngineStats, ExactCore, ForemostTree, ParetoCore, TreeRepr};

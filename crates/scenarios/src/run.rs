@@ -464,6 +464,12 @@ fn run_serve(
 ) -> (((Json, EngineStats), usize), Json) {
     let (stream, events) = TvgStream::replay_of(g, &limits.horizon)
         .expect("spec validation rejects horizons whose successor overflows");
+    // Every replayed `Up` opens one compiled span, and each span is two
+    // edge events (its appearance and its disappearance).
+    let ups = events
+        .iter()
+        .filter(|e| matches!(e, StreamEvent::Up { .. }));
+    let edge_events = 2 * ups.count();
     // Chop the replay feed into exactly `ticks` ingest batches (the
     // tail ones may be empty when the feed is short): the epoch count
     // is part of the spec, not of the generated event volume.
@@ -529,9 +535,6 @@ fn run_serve(
         ("requests", Json::Int(outcome.served.len() as u64)),
         ("ticks", Json::Int(ticks as u64)),
     ]);
-    // The serve run consumed its stream; the ingested schedule is the
-    // full replay, so the compiled index gives the same event count.
-    let edge_events = TvgIndex::compile(g, limits.horizon).num_edge_events();
     let clamp = |micros: u128| u64::try_from(micros).unwrap_or(u64::MAX);
     // Publication metrics ride the non-canonical channel with the
     // latency percentiles, but the three per-epoch counter arrays are

@@ -1,7 +1,8 @@
 //! End-to-end reproduction of the paper's results, spanning all crates.
 //!
 //! Each test is a reduced-scale version of an EXPERIMENTS.md experiment;
-//! the `experiments` binary in `tvg-bench` runs the full-scale versions.
+//! the `experiments` binary in `tvg-bench` runs the full-scale versions,
+//! and the `bench_medians` registry (`tvg_bench::registry`) times them.
 //! All randomness flows through `tvg-testkit` fixtures, so the suite is
 //! reproducible run to run.
 

@@ -262,6 +262,38 @@ fn every_bundled_scenario_reproduces_its_golden() {
 }
 
 #[test]
+fn waiting_only_adds_journeys_on_every_bundled_scenario() {
+    // The paper's policy monotonicity (`tvg_testkit::waitcheck`) as a
+    // metamorphic check over the bundled workloads: on the index each
+    // plan queries, at the scenario's own start and limits. Batch plans
+    // query the compiled index; streaming and serve plans query the
+    // live index once their whole feed is ingested.
+    use tvg_suite::model::stream::TvgStream;
+    use tvg_suite::model::TvgIndex;
+    use tvg_suite::scenarios::Plan;
+    use tvg_testkit::waitcheck::assert_waiting_only_adds_journeys;
+    let dir = tvg_cli::bundled_scenarios_dir();
+    for (spec, _) in tvg_cli::spec_files(&dir).expect("bundled specs exist") {
+        for scenario in tvg_cli::load_specs(&spec).expect("bundled specs load") {
+            let g = scenario.build_graph();
+            let limits = scenario.limits();
+            let start = scenario.plan().start();
+            let (mut stream, events) = match scenario.plan() {
+                Plan::Streaming { .. } => scenario.stream_feed(&g, limits.horizon),
+                Plan::Serve { .. } => TvgStream::replay_of(&g, &limits.horizon).expect("replays"),
+                _ => {
+                    let index = TvgIndex::compile(&g, limits.horizon);
+                    assert_waiting_only_adds_journeys(&index, start, &limits, scenario.name());
+                    continue;
+                }
+            };
+            stream.ingest(&events).expect("bundled feeds are valid");
+            assert_waiting_only_adds_journeys(stream.index(), start, &limits, scenario.name());
+        }
+    }
+}
+
+#[test]
 fn snapshots_and_footprint_story() {
     let ring = ring_bus(4, 4);
     // At any instant exactly one ring edge is up (phases are staggered).
