@@ -21,11 +21,12 @@ use tvg_expressivity::anbn::{anbn_word, AnbnAutomaton};
 use tvg_expressivity::dilation::dilation_disagreements;
 use tvg_expressivity::nowait_power::DeciderAutomaton;
 use tvg_expressivity::wait_regular::{eventually_periodic_to_nfa, periodic_to_nfa};
-use tvg_journeys::engine::{foremost_to, foremost_tree};
+use tvg_journeys::engine::{foremost_to, foremost_tree, foremost_tree_multi};
 use tvg_journeys::{Batch, BatchRunner, IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_langs::{machines, Alphabet, Grammar, Word};
 use tvg_model::generators::{
-    random_periodic_tvg, ring_bus_tvg, scale_free_temporal, RandomPeriodicParams,
+    peer_lifecycle_churn, random_periodic_tvg, ring_bus_tvg, scale_free_temporal,
+    RandomPeriodicParams,
 };
 use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
 use tvg_model::tvgi::{write_tvgi, ShardedIndex};
@@ -518,7 +519,8 @@ fn e12() -> Metrics {
 
 /// E9: keep one foremost tree (source 0, `wait[3]`) current over the
 /// n=200 scale-free feed in 64-event ticks — incremental repair
-/// against a per-tick recompile, asserted to agree on every arrival.
+/// against a per-tick recompile, asserted to agree on every arrival —
+/// and repair alone over the end-to-end benchmark's stream-churn feed.
 fn e9() -> Metrics {
     const BATCH: usize = 64;
     let g = scale_free_temporal(200, 64, 17);
@@ -554,7 +556,67 @@ fn e9() -> Metrics {
     let mut m = Medians::default();
     m.time("incremental", 3, incremental);
     m.time("recompile", 3, recompile);
+
+    // perfbench's stream-churn reference instance (seed 0, instance 0):
+    // 220 joining and leaving peers, `wait[4]`, from its hub source.
+    let feed = peer_lifecycle_churn(200, 20, 128, 7);
+    let limits = SearchLimits::new(128, 16);
+    let policy = WaitingPolicy::Bounded(4);
+    let seeds = [(churn_hub(&feed, 4), 0u64)];
+    let churn = || {
+        let mut stream = TvgStream::new(128).expect("128 + 1 is representable");
+        let mut inc = IncrementalForemost::new(stream.index(), &seeds, policy, limits.clone());
+        for batch in feed.chunks(BATCH) {
+            let report = stream.ingest(batch).expect("churn feeds are valid");
+            inc.refresh(stream.index(), &report);
+        }
+        (stream, inc)
+    };
+    let (stream, inc) = churn();
+    let fresh = foremost_tree_multi(stream.index(), &seeds, &policy, &limits);
+    let nodes = || stream.index().tvg().nodes();
+    assert_eq!(
+        nodes().map(|n| inc.arrival(n)).collect::<Vec<_>>(),
+        nodes().map(|n| fresh.arrival(n)).collect::<Vec<_>>(),
+        "churn repair diverges from a fresh run on the final index"
+    );
+    m.time("incremental_churn", 3, churn);
     m.0
+}
+
+/// The source perfbench's stream-churn workload streams from: among the
+/// peers that never leave and have a contact up by `d`, the one with the
+/// most contacts (ties to the lowest id).
+fn churn_hub(feed: &[StreamEvent<u64>], d: u64) -> NodeId {
+    let peers = feed
+        .iter()
+        .filter(|e| matches!(e, StreamEvent::NewNode { .. }))
+        .count();
+    let mut ends: Vec<(usize, usize)> = Vec::new();
+    let mut contacts = vec![0usize; peers];
+    let mut early = vec![false; peers];
+    let mut departed = vec![false; peers];
+    for e in feed {
+        match e {
+            StreamEvent::NewEdge { src, dst, .. } => {
+                ends.push((src.index(), dst.index()));
+                contacts[src.index()] += 1;
+                contacts[dst.index()] += 1;
+            }
+            StreamEvent::Up { edge, at } if *at <= d => {
+                let (a, b) = ends[edge.index()];
+                early[a] = true;
+                early[b] = true;
+            }
+            StreamEvent::NodeLeave { node, .. } => departed[node.index()] = true,
+            _ => {}
+        }
+    }
+    (0..peers)
+        .filter(|&v| !departed[v])
+        .max_by_key(|&v| (early[v], contacts[v], std::cmp::Reverse(v)))
+        .map(NodeId::from_index)
+        .expect("swaps keep live peers")
 }
 
 // --------------------------------------------------------------- E11 --
@@ -778,8 +840,18 @@ fn e14() -> Metrics {
 
 #[cfg(test)]
 mod tests {
-    use super::REGISTRY;
+    use super::{churn_hub, REGISTRY};
     use crate::gate::stale_baselines;
+    use tvg_model::generators::peer_lifecycle_churn;
+    use tvg_model::NodeId;
+
+    /// E9's churn metric repairs from the source perfbench's
+    /// stream-churn reference instance streams from (peer 155).
+    #[test]
+    fn churn_hub_is_the_stream_churn_reference_source() {
+        let feed = peer_lifecycle_churn(200, 20, 128, 7);
+        assert_eq!(churn_hub(&feed, 4), NodeId::from_index(155));
+    }
 
     /// The checked-in baselines are exactly the registry's files: one
     /// per experiment, and none that nothing produces.

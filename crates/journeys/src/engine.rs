@@ -103,13 +103,15 @@ impl std::iter::Sum for EngineStats {
     }
 }
 
-/// The departure-window computation of a waiting policy, as a trait so
-/// the exploration loops monomorphize per policy instead of branching
-/// per label. Implementations mirror
-/// [`WaitingPolicy::latest_departure`] exactly.
+/// The departure-window computation of a restricted waiting policy, as
+/// a trait so the exact explorer's loops monomorphize per policy instead
+/// of branching per label. Implementations mirror
+/// [`WaitingPolicy::latest_departure`] exactly. Unbounded waiting has no
+/// implementation: it runs on [`ParetoCore`], never on [`ExactCore`].
 pub(crate) trait DeparturePolicy<T: Time> {
-    /// The latest admissible departure from a node reached at `ready`,
-    /// `None` if the window is empty or overflows the representation.
+    /// The latest admissible departure from a node reached at `ready`
+    /// (never later than `horizon`), `None` if the window is empty or
+    /// overflows the representation.
     fn latest(&self, ready: &T, horizon: &T) -> Option<T>;
 }
 
@@ -131,16 +133,6 @@ impl<T: Time> DeparturePolicy<T> for BoundedDeparture<T> {
     fn latest(&self, ready: &T, horizon: &T) -> Option<T> {
         let latest = ready.checked_add(&self.0)?.min(horizon.clone());
         (*ready <= *horizon).then_some(latest)
-    }
-}
-
-/// Arbitrary pauses: the whole remaining horizon is the window.
-struct UnboundedDeparture;
-
-impl<T: Time> DeparturePolicy<T> for UnboundedDeparture {
-    #[inline]
-    fn latest(&self, ready: &T, horizon: &T) -> Option<T> {
-        (*ready <= *horizon).then(|| horizon.clone())
     }
 }
 
@@ -206,10 +198,6 @@ impl<K: Ord + Clone, V> FlatMap<K, V> {
         let keep = self.keys.partition_point(|k| k < t0);
         self.keys.truncate(keep);
         self.vals.truncate(keep);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.keys.iter().zip(self.vals.iter())
     }
 }
 
@@ -435,6 +423,49 @@ struct Conf {
     settled: bool,
 }
 
+/// One expanded settled configuration in an incremental core's repair
+/// log: its settle time, how many crossings its expansion generated,
+/// and `reach`, the latest of their arrivals (`time` itself when there
+/// were none).
+///
+/// Under restricted waiting these decide whether a repair from `t0`
+/// must re-expand the configuration. If its departure window closes
+/// before `t0` and `reach < t0`, every crossing it can take departs and
+/// arrives before `t0`. Presence before `t0` is unchanged by the batch,
+/// an edge added since has no presence before `t0`, and latency is fixed
+/// per edge. So re-expanding it would regenerate the same `crossings`,
+/// all into targets that settled before `t0` and survive the prune.
+#[derive(Debug, Clone)]
+struct Expansion<T> {
+    time: T,
+    reach: T,
+    crossings: u64,
+}
+
+/// Where [`ExactCore::expand`] reports the arrival of each crossing it
+/// generates: nowhere on a fresh run (`()`, compiled away), into a
+/// running maximum ([`Latest`]) when the core keeps a repair log.
+trait Reach<T> {
+    fn note(&mut self, arrival: &T);
+}
+
+impl<T> Reach<T> for () {
+    #[inline]
+    fn note(&mut self, _: &T) {}
+}
+
+/// The latest arrival noted so far.
+struct Latest<T>(T);
+
+impl<T: Ord + Clone> Reach<T> for Latest<T> {
+    #[inline]
+    fn note(&mut self, arrival: &T) {
+        if *arrival > self.0 {
+            self.0 = arrival.clone();
+        }
+    }
+}
+
 /// Resumable state of the exact `(node, time)` explorer — the fresh run
 /// drives it from empty seeds; [`crate::incremental`] prunes and
 /// replays it when the underlying schedule grows at the right edge.
@@ -444,6 +475,11 @@ struct Conf {
 /// place (pop times per node are non-decreasing, so fresh settles land
 /// at the tail); generation inserts by binary search but lands at the
 /// tail in the common case.
+///
+/// A core built with [`ExactCore::logged`] (the incremental one) also
+/// keeps, per node, an [`Expansion`] record of every settled
+/// configuration it expanded, sorted by time. A fresh run's core keeps
+/// none and pays nothing for it.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactCore<T> {
     pub(crate) arrival: Vec<Option<T>>,
@@ -451,9 +487,8 @@ pub(crate) struct ExactCore<T> {
     pub(crate) arena: Vec<Label<T>>,
     /// Per node: configuration time → generation/settlement state.
     conf: Vec<FlatMap<T, Conf>>,
-    /// Seed configurations and their arena slots, for resolving the
-    /// origin label of a settled seed that no crossing generated.
-    seed_slots: Vec<(NodeId, T, u32)>,
+    /// Per node: the repair log, `None` outside incremental repair.
+    log: Option<Vec<Vec<Expansion<T>>>>,
     // Min-heap on (arrival, node, hops, label id): pops in time order,
     // so the first settle of a node is its foremost arrival. Residual
     // duplicates are deduplicated at pop time against the settled flag.
@@ -467,8 +502,16 @@ impl<T: Time> ExactCore<T> {
             best: vec![None; num_nodes],
             arena: Vec::new(),
             conf: vec![FlatMap::new(); num_nodes],
-            seed_slots: Vec::new(),
+            log: None,
             queue: BinaryHeap::new(),
+        }
+    }
+
+    /// A core that keeps the repair log [`ExactCore::replay`] needs.
+    pub(crate) fn logged(num_nodes: usize) -> Self {
+        ExactCore {
+            log: Some(vec![Vec::new(); num_nodes]),
+            ..ExactCore::new(num_nodes)
         }
     }
 
@@ -477,6 +520,9 @@ impl<T: Time> ExactCore<T> {
         self.arrival.resize(num_nodes, None);
         self.best.resize(num_nodes, None);
         self.conf.resize(num_nodes, FlatMap::new());
+        if let Some(log) = &mut self.log {
+            log.resize(num_nodes, Vec::new());
+        }
     }
 
     /// Enqueues seed configurations (hop count zero).
@@ -486,7 +532,6 @@ impl<T: Time> ExactCore<T> {
     {
         for (node, t) in seeds {
             let id = alloc_label(&mut self.arena, t.clone(), None);
-            self.seed_slots.push((*node, t.clone(), id));
             self.queue.push(Reverse((t.clone(), *node, 0, id)));
         }
     }
@@ -504,7 +549,9 @@ impl<T: Time> ExactCore<T> {
         for map in &mut self.conf {
             map.truncate_from(t0);
         }
-        self.seed_slots.retain(|(_, t, _)| t < t0);
+        for entries in self.log.iter_mut().flatten() {
+            entries.truncate(entries.partition_point(|x| x.time < *t0));
+        }
         for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
             if slot.as_ref().is_some_and(|t| t >= t0) {
                 *slot = None;
@@ -513,27 +560,37 @@ impl<T: Time> ExactCore<T> {
         }
     }
 
-    /// Re-expands every surviving configuration in global settle order
-    /// (time, node, hops) — the order a fresh run would have expanded
-    /// them in. Crossings arriving before the prune watermark find
-    /// their targets already settled and are skipped; crossings into
-    /// the repaired region re-enter the queue, so the subsequent
-    /// [`ExactCore::drain`] reproduces a fresh run's conclusions there.
+    /// Re-expands the surviving configurations that a schedule change
+    /// at `t0` can affect, in global settle order (time, node) — the
+    /// order a fresh run would have expanded them in. Crossings
+    /// arriving before `t0` find their targets already settled and are
+    /// skipped; crossings into the repaired region re-enter the queue,
+    /// so the subsequent [`ExactCore::drain`] reproduces a fresh run's
+    /// conclusions there.
+    ///
+    /// A logged configuration whose window closes before `t0` and whose
+    /// crossings all arrived before it is not re-expanded (see
+    /// [`Expansion`]): its logged crossing count is credited to
+    /// `stats.expanded` instead, so the counters equal a full sweep's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core keeps no log (it was not built by
+    /// [`ExactCore::logged`]).
     pub(crate) fn replay<I: TemporalIndex<T>>(
         &mut self,
         index: &I,
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
+        t0: &T,
         stats: &mut EngineStats,
     ) {
         match policy {
-            WaitingPolicy::NoWait => self.replay_inner(index, &NoWaitDeparture, limits, stats),
+            WaitingPolicy::NoWait => self.replay_inner(index, &NoWaitDeparture, limits, t0, stats),
             WaitingPolicy::Bounded(d) => {
-                self.replay_inner(index, &BoundedDeparture(d.clone()), limits, stats);
+                self.replay_inner(index, &BoundedDeparture(d.clone()), limits, t0, stats);
             }
-            WaitingPolicy::Unbounded => {
-                self.replay_inner(index, &UnboundedDeparture, limits, stats);
-            }
+            WaitingPolicy::Unbounded => unreachable!("unbounded waiting runs on ParetoCore"),
         }
     }
 
@@ -542,53 +599,55 @@ impl<T: Time> ExactCore<T> {
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
+        t0: &T,
         stats: &mut EngineStats,
     ) {
-        let cap = hops_cap(limits);
-        let mut survivors: Vec<(T, NodeId, u32)> = Vec::new();
-        for (i, map) in self.conf.iter().enumerate() {
-            let node = NodeId::from_index(i);
-            survivors.extend(
-                map.iter()
-                    .filter(|(_, c)| c.settled)
-                    .map(|(t, c)| (t.clone(), node, c.hops)),
-            );
-        }
-        survivors.sort();
-        let mut cursor = vec![0usize; index.num_edges()];
-        for (time, node, hops) in survivors {
-            if hops == cap {
-                continue;
+        let mut log = self.log.take().expect("only a logged core replays");
+        let mut stale: Vec<(T, NodeId, usize)> = Vec::new();
+        for (i, entries) in log.iter().enumerate() {
+            for (k, x) in entries.iter().enumerate() {
+                let closed = policy
+                    .latest(&x.time, &limits.horizon)
+                    .is_none_or(|latest| latest < *t0);
+                if closed && x.reach < *t0 {
+                    stats.expanded += x.crossings;
+                } else {
+                    stale.push((x.time.clone(), NodeId::from_index(i), k));
+                }
             }
-            let id = self.origin_label(node, &time);
-            self.expand(
+        }
+        // Settled configurations are unique per (node, time).
+        stale.sort_unstable();
+        let mut cursor = vec![0usize; index.num_edges()];
+        for (time, node, k) in stale {
+            // Every settle leaves its configuration in `conf`, with the
+            // witness label and the settle hops.
+            let c = *self.conf[node.index()]
+                .get(&time)
+                .expect("a logged configuration has settled");
+            log[node.index()][k] = self.expand_logged(
                 index,
                 policy,
                 limits,
                 &mut cursor,
                 node,
-                &time,
-                hops,
-                id,
+                time,
+                c.hops,
+                c.label,
                 stats,
             );
         }
+        self.log = Some(log);
     }
 
-    /// The arena id reconstructing the journey of a settled
-    /// configuration: its first-generated label if any crossing reached
-    /// it, otherwise its seed slot.
-    fn origin_label(&self, node: NodeId, time: &T) -> u32 {
-        self.conf[node.index()]
-            .get(time)
-            .map(|c| c.label)
-            .or_else(|| {
-                self.seed_slots
-                    .iter()
-                    .find(|(n, t, _)| *n == node && t == time)
-                    .map(|&(_, _, id)| id)
-            })
-            .expect("settled configuration has an origin label")
+    /// Marks every logged expansion as reaching `reach`, so a repair
+    /// from any watermark up to `reach` re-expands all of them — the
+    /// full sweep the credited counts are checked against.
+    #[cfg(test)]
+    pub(crate) fn invalidate_log(&mut self, reach: &T) {
+        for x in self.log.iter_mut().flatten().flatten() {
+            x.reach = reach.clone();
+        }
     }
 
     /// Runs the exploration to exhaustion (or to `target`'s first,
@@ -603,18 +662,33 @@ impl<T: Time> ExactCore<T> {
     ) {
         match policy {
             WaitingPolicy::NoWait => {
-                self.drain_inner(index, &NoWaitDeparture, limits, target, stats);
+                self.drain_with(index, &NoWaitDeparture, limits, target, stats);
             }
             WaitingPolicy::Bounded(d) => {
-                self.drain_inner(index, &BoundedDeparture(d.clone()), limits, target, stats);
+                self.drain_with(index, &BoundedDeparture(d.clone()), limits, target, stats);
             }
-            WaitingPolicy::Unbounded => {
-                self.drain_inner(index, &UnboundedDeparture, limits, target, stats);
-            }
+            WaitingPolicy::Unbounded => unreachable!("unbounded waiting runs on ParetoCore"),
         }
     }
 
-    fn drain_inner<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
+    /// Picks the loop once per drain, so the loop a fresh run's core
+    /// (which keeps no log) runs holds no logging code.
+    fn drain_with<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
+        &mut self,
+        index: &I,
+        policy: &P,
+        limits: &SearchLimits<T>,
+        target: Option<NodeId>,
+        stats: &mut EngineStats,
+    ) {
+        if self.log.is_some() {
+            self.drain_inner::<I, P, true>(index, policy, limits, target, stats);
+        } else {
+            self.drain_inner::<I, P, false>(index, policy, limits, target, stats);
+        }
+    }
+
+    fn drain_inner<I: TemporalIndex<T>, P: DeparturePolicy<T>, const LOGGED: bool>(
         &mut self,
         index: &I,
         policy: &P,
@@ -668,17 +742,64 @@ impl<T: Time> ExactCore<T> {
             if hops == cap {
                 continue;
             }
-            self.expand(
+            if !LOGGED {
+                self.expand(
+                    index,
+                    policy,
+                    limits,
+                    &mut cursor,
+                    node,
+                    &time,
+                    hops,
+                    id,
+                    &mut (),
+                    stats,
+                );
+                continue;
+            }
+            let x = self.expand_logged(
                 index,
                 policy,
                 limits,
                 &mut cursor,
                 node,
-                &time,
+                time,
                 hops,
                 id,
                 stats,
             );
+            let entries = &mut self.log.as_mut().expect("a logged drain has a log")[ni];
+            // Settle times per node only grow within a drain, and a
+            // repair's drain settles at or after its watermark, so this
+            // is an append except when a late seed settles in the past.
+            entries.insert(entries.partition_point(|y| y.time < x.time), x);
+        }
+    }
+
+    /// [`ExactCore::expand`] for a logged core, returning the
+    /// expansion's log record.
+    #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
+    fn expand_logged<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
+        &mut self,
+        index: &I,
+        policy: &P,
+        limits: &SearchLimits<T>,
+        cursor: &mut [usize],
+        node: NodeId,
+        time: T,
+        hops: u32,
+        id: u32,
+        stats: &mut EngineStats,
+    ) -> Expansion<T> {
+        let before = stats.expanded;
+        let mut reach = Latest(time.clone());
+        self.expand(
+            index, policy, limits, cursor, node, &time, hops, id, &mut reach, stats,
+        );
+        Expansion {
+            time,
+            reach: reach.0,
+            crossings: stats.expanded - before,
         }
     }
 
@@ -690,7 +811,7 @@ impl<T: Time> ExactCore<T> {
     /// by walking forward from the last position (amortized O(1) per
     /// call) instead of a fresh binary search per `(settle, edge)`.
     #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
-    fn expand<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
+    fn expand<I: TemporalIndex<T>, P: DeparturePolicy<T>, R: Reach<T>>(
         &mut self,
         index: &I,
         policy: &P,
@@ -700,12 +821,12 @@ impl<T: Time> ExactCore<T> {
         time: &T,
         hops: u32,
         id: u32,
+        reach: &mut R,
         stats: &mut EngineStats,
     ) {
-        let Some(latest) = policy.latest(time, &limits.horizon) else {
+        let Some(until) = policy.latest(time, &limits.horizon) else {
             return;
         };
-        let until = latest.min(limits.horizon.clone());
         for &e in index.out_edges(node) {
             let spans = index.presence(e);
             // Expansion times only grow, so spans ending at or before
@@ -731,6 +852,7 @@ impl<T: Time> ExactCore<T> {
                         continue;
                     };
                     stats.expanded += 1;
+                    reach.note(&arr);
                     let succ = index.dst(e);
                     let si = succ.index();
                     match self.conf[si].search(&arr) {
@@ -1164,6 +1286,6 @@ mod tests {
         assert_eq!(m.get(&4), Some(&4));
         assert_eq!(m.search(&2), Err(1));
         m.truncate_from(&3);
-        assert_eq!(m.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(m.keys, vec![1]);
     }
 }

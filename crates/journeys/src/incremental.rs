@@ -22,7 +22,13 @@
 //!    *new* schedule, in the exact global order a fresh run would have
 //!    expanded them. Crossings landing before `t₀` find their targets
 //!    already settled and are skipped; crossings into the repaired
-//!    region re-enter the queue.
+//!    region re-enter the queue. Under `NoWait` and `Bounded(d)` most
+//!    survivors are *frozen*: a traveller settled at `t` must leave by
+//!    `t + d`, so when that window closes before `t₀` and every crossing
+//!    the configuration took last time also arrived before `t₀`, the
+//!    batch cannot change what it reaches. The exact explorer logs each
+//!    expansion's crossing count and latest arrival, and re-expands
+//!    only the configurations that are not frozen.
 //! 3. **Drain.** The ordinary exploration loop finishes the repaired
 //!    region.
 //!
@@ -37,15 +43,18 @@
 //! witnesses semantically: same arrival, same hops, validates.
 //!
 //! The work saved is the point, stated precisely: per refresh, the
-//! *settling* work is bounded by the repaired region (the churn), and
-//! what remains of the history's cost is one re-expansion sweep over
-//! the surviving settled frontier — no schedule recompilation, no
-//! re-settling, no witness reconstruction. A refresh therefore costs
-//! `O(frontier + churn)` where the recompute baseline pays
-//! `O(accumulated schedule + full exploration)` every tick; the
-//! `stream_props` work-reuse property pins the settle ratio, and the
-//! `bench_medians` E9 entry (in `tvg-bench`) measures the end-to-end
-//! gap on the scale-free feed.
+//! *settling* work is bounded by the repaired region (the churn). For
+//! the exact explorers the re-expansion work is bounded by the
+//! configurations whose waiting window or crossings reach `t₀` (the
+//! window); the rest of the history costs one scan of its log, not a
+//! sort and re-expansion. A refresh therefore costs `O(window + churn)`
+//! where the recompute baseline pays `O(accumulated schedule + full
+//! exploration)` every tick. The Pareto explorer (`Unbounded`) still
+//! re-expands its whole surviving frontier, `O(frontier + churn)`: an
+//! unbounded window never closes. The `stream_props` work-reuse
+//! property pins the settle ratio, and the `bench_medians` E9 entry
+//! (in `tvg-bench`) measures the end-to-end gap on the scale-free feed
+//! and the repair alone on a churn feed.
 
 use crate::engine::{rebuild_labels, EngineStats, ExactCore, ForemostTree, ParetoCore, TreeRepr};
 use crate::{Journey, SearchLimits, WaitingPolicy};
@@ -121,7 +130,7 @@ impl<T: Time> IncrementalForemost<T> {
                 State::Pareto(core)
             }
             _ => {
-                let mut core = ExactCore::new(n);
+                let mut core = ExactCore::logged(n);
                 core.seed(live);
                 core.drain(index, &policy, &limits, None, &mut stats);
                 State::Exact(core)
@@ -192,7 +201,7 @@ impl<T: Time> IncrementalForemost<T> {
         match &mut self.state {
             State::Exact(core) => {
                 core.prune(since);
-                core.replay(index, &self.policy, &self.limits, &mut self.stats);
+                core.replay(index, &self.policy, &self.limits, since, &mut self.stats);
                 core.seed(seeds.iter().filter(to_seed));
                 core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
             }
@@ -202,6 +211,15 @@ impl<T: Time> IncrementalForemost<T> {
                 core.seed(seeds.iter().filter(to_seed));
                 core.drain(index, &self.limits, None, &mut self.stats);
             }
+        }
+    }
+
+    /// Forces the next repair to re-expand every surviving
+    /// configuration (see `ExactCore::invalidate_log`).
+    #[cfg(test)]
+    fn invalidate_log(&mut self, reach: &T) {
+        if let State::Exact(core) = &mut self.state {
+            core.invalidate_log(reach);
         }
     }
 
@@ -276,6 +294,11 @@ impl<T: Time> IncrementalForemost<T> {
     /// per repairing refresh; `settled`/`expanded` accumulate, so the
     /// total is directly comparable against the recompute strategy's
     /// sum of fresh runs (the E9 benchmark's accounting).
+    ///
+    /// `expanded` counts every crossing of every replayed
+    /// configuration, whether re-expanded or credited from the log of a
+    /// frozen one, so it equals the count of a repair that re-expands
+    /// the whole surviving frontier.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -304,6 +327,7 @@ impl<T: Time> IncrementalForemost<T> {
 mod tests {
     use super::*;
     use crate::engine::foremost_tree_multi;
+    use tvg_model::generators::{peer_lifecycle_churn, scale_free_temporal};
     use tvg_model::stream::{StreamEvent, TvgStream};
     use tvg_model::{Latency, TvgIndex};
 
@@ -532,6 +556,193 @@ mod tests {
             inc.refresh_since(s.index(), &0);
             assert_matches_fresh(&s, &inc, "from zero");
             assert_eq!(inc.stats().runs, 2);
+        }
+    }
+
+    /// `NoWait` and `Bounded(0..=4)`: every policy the exact explorer
+    /// runs, with windows from one instant to five.
+    fn exact_policies() -> impl Iterator<Item = WaitingPolicy<u64>> {
+        std::iter::once(WaitingPolicy::NoWait).chain((0..=4).map(WaitingPolicy::Bounded))
+    }
+
+    /// Refreshes `inc` and its twin `full` with one report, after
+    /// invalidating `full`'s log so that it re-expands every surviving
+    /// configuration. Crediting the skipped configurations must leave
+    /// counters, arrivals and witnesses equal to the full sweep's.
+    fn refresh_twins<I: TemporalIndex<u64>>(
+        inc: &mut IncrementalForemost<u64>,
+        full: &mut IncrementalForemost<u64>,
+        index: &I,
+        report: &IngestReport<u64>,
+        label: &str,
+    ) {
+        full.invalidate_log(&u64::MAX);
+        inc.refresh(index, report);
+        full.refresh(index, report);
+        let policy = inc.policy();
+        assert_eq!(
+            inc.stats(),
+            full.stats(),
+            "{label}: counters under {policy}"
+        );
+        for node in (0..index.num_nodes()).map(n) {
+            assert_eq!(
+                inc.arrival(node),
+                full.arrival(node),
+                "{label}: arrival at {node} under {policy}"
+            );
+            assert_eq!(
+                inc.journey_to(node),
+                full.journey_to(node),
+                "{label}: witness to {node} under {policy}"
+            );
+        }
+    }
+
+    /// Drives `feed` through `stream` in 16-event ticks under every
+    /// exact policy, checking the twins after every tick and the
+    /// repaired tree against a fresh run at the end.
+    fn assert_credit_is_exact(
+        stream: &TvgStream<u64>,
+        feed: &[StreamEvent<u64>],
+        seeds: &[(NodeId, u64)],
+        label: &str,
+    ) {
+        let limits = SearchLimits::new(*stream.index().horizon(), 12);
+        for policy in exact_policies() {
+            let mut s = stream.clone();
+            let mut inc = IncrementalForemost::new(s.index(), seeds, policy, limits.clone());
+            let mut full = inc.clone();
+            for (tick, chunk) in feed.chunks(16).enumerate() {
+                let report = s.ingest(chunk).expect("generated feeds are valid");
+                refresh_twins(
+                    &mut inc,
+                    &mut full,
+                    s.index(),
+                    &report,
+                    &format!("{label} tick {tick}"),
+                );
+            }
+            assert_matches_fresh(&s, &inc, label);
+        }
+    }
+
+    #[test]
+    fn credited_expansions_equal_a_full_sweep_on_a_replay_feed() {
+        let g = scale_free_temporal(60, 32, 5);
+        let (stream, feed) = TvgStream::replay_of(&g, &32).expect("32 + 1 is representable");
+        assert_credit_is_exact(&stream, &feed, &[(n(0), 0), (n(7), 2)], "scale-free");
+    }
+
+    #[test]
+    fn credited_expansions_equal_a_full_sweep_on_a_churn_feed() {
+        // Most peers have no contact open early, so one seed reaches
+        // little: seed every third initial peer at staggered instants.
+        // Peers 24..28 join at the swaps: the seed at peer 25 is
+        // deferred, then settles in the past of a later tick.
+        let feed = peer_lifecycle_churn(24, 4, 40, 11);
+        let stream = TvgStream::new(40).expect("40 + 1 is representable");
+        let seeds: Vec<(NodeId, u64)> = (0..24u64)
+            .step_by(3)
+            .map(|i| (n(i as usize), i))
+            .chain([(n(25), 1)])
+            .collect();
+        assert_credit_is_exact(&stream, &feed, &seeds, "churn");
+    }
+
+    #[test]
+    fn a_crossing_landing_past_the_watermark_is_replayed() {
+        // u's window closes before the change at 4, but its one crossing
+        // (latency 5, longer than any window here) lands at 6. The prune
+        // discards v@6, and only re-expanding u@1 can regenerate it.
+        let mut s = TvgStream::new(30).expect("30 + 1 is representable");
+        let v: Vec<NodeId> = (0..4).map(|i| s.add_node(&format!("v{i}"))).collect();
+        let slow = s.add_edge(v[0], v[1], 'a', Latency::Const(5)).expect("ok");
+        let other = s.add_edge(v[2], v[3], 'b', Latency::unit()).expect("ok");
+        s.ingest(&[
+            StreamEvent::Up { edge: slow, at: 1 },
+            StreamEvent::Down { edge: slow, at: 2 },
+        ])
+        .expect("ok");
+        let limits = SearchLimits::new(30, 10);
+        for policy in [WaitingPolicy::NoWait, WaitingPolicy::Bounded(2)] {
+            let mut s = s.clone();
+            let mut inc = IncrementalForemost::new(s.index(), &[(v[0], 1)], policy, limits.clone());
+            let mut full = inc.clone();
+            assert_eq!(inc.arrival(v[1]), Some(&6), "{policy}");
+            let report = s
+                .ingest(&[StreamEvent::Up { edge: other, at: 4 }])
+                .expect("ok");
+            assert_eq!(report.earliest_change, Some(4));
+            refresh_twins(&mut inc, &mut full, s.index(), &report, "slow crossing");
+            assert_eq!(inc.arrival(v[1]), Some(&6), "{policy}");
+            assert_matches_fresh(&s, &inc, "slow crossing");
+        }
+    }
+
+    #[test]
+    fn an_earlier_watermark_after_a_later_one_repairs_exactly() {
+        // Latency-2 hops put crossings across both watermarks.
+        let mut s = TvgStream::new(30).expect("30 + 1 is representable");
+        let v: Vec<NodeId> = (0..5).map(|i| s.add_node(&format!("v{i}"))).collect();
+        let edges: Vec<_> = (0..4)
+            .map(|i| {
+                s.add_edge(v[i], v[i + 1], 'a', Latency::Const(2))
+                    .expect("ok")
+            })
+            .collect();
+        let ups: Vec<_> = edges
+            .iter()
+            .zip([1, 3, 6, 9])
+            .map(|(&edge, at)| StreamEvent::Up { edge, at })
+            .collect();
+        s.ingest(&ups).expect("ok");
+        let limits = SearchLimits::new(30, 10);
+        for policy in exact_policies() {
+            let mut inc = IncrementalForemost::new(s.index(), &[(v[0], 1)], policy, limits.clone());
+            let mut full = inc.clone();
+            for since in [8, 3] {
+                let report = IngestReport {
+                    applied: 0,
+                    earliest_change: Some(since),
+                };
+                let label = format!("watermark {since}");
+                refresh_twins(&mut inc, &mut full, s.index(), &report, &label);
+                assert_matches_fresh(&s, &inc, &label);
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_edge_and_its_up_in_one_batch_are_repaired() {
+        // u@0's window reaches the change at 2 although u has crossed
+        // nothing yet: it must be re-expanded to find the new edge.
+        let (s, _) = line_stream();
+        let limits = SearchLimits::new(30, 10);
+        for d in 0..=4 {
+            let policy = WaitingPolicy::Bounded(d);
+            let mut s = s.clone();
+            let mut inc = IncrementalForemost::new(s.index(), &[(n(0), 0)], policy, limits.clone());
+            let mut full = inc.clone();
+            let late = s.add_node("late");
+            let report = s
+                .ingest(&[
+                    StreamEvent::NewEdge {
+                        src: n(0),
+                        dst: late,
+                        label: 'z',
+                        latency: Latency::unit(),
+                    },
+                    StreamEvent::Up {
+                        edge: tvg_model::EdgeId::from_index(3),
+                        at: 2,
+                    },
+                ])
+                .expect("ok");
+            assert_eq!(report.earliest_change, Some(2));
+            refresh_twins(&mut inc, &mut full, s.index(), &report, "new edge");
+            assert_matches_fresh(&s, &inc, "new edge");
+            assert_eq!(inc.arrival(late).is_some(), d >= 2, "wait[{d}]");
         }
     }
 }
