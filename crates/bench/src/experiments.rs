@@ -439,43 +439,70 @@ pub fn e3_residual_contrast() -> Table {
 }
 
 /// E3d: L\* learns `L_wait` from membership queries against the journey
-/// simulator — Theorem 2.2 made operational.
+/// simulator — Theorem 2.2 made operational. Each seed is learned twice
+/// with the same simulator answering membership: once against a bounded
+/// teacher (exhaustive comparison up to length 7) and once against an
+/// exact teacher (the compiled minimal DFA's shortest distinguishing
+/// word).
 #[must_use]
 pub fn e3_lstar_learning() -> Table {
     use tvg_langs::learn::{bounded_equivalence, learn_dfa};
+    const BOUNDED_LEN: usize = 7;
     let alphabet = Alphabet::ab();
     let mut t = Table::new(
         "E3d — Theorem 2.2 operational: L* learns L_wait from queries alone",
         &[
             "seed",
-            "learned DFA states",
             "compiled min-DFA states",
-            "equivalent",
+            "bounded teacher: states",
+            "bounded teacher: equivalent",
+            "exact teacher: states",
+            "exact teacher: equivalent",
         ],
     );
+    let mut missed = Vec::new();
     for seed in [0u64, 3, 5, 7] {
         let aut = random_periodic_automaton(seed, 3);
         let limits = sufficient_limits(&aut, 3, 8);
         let oracle = |w: &Word| aut.accepts(w, &WaitingPolicy::Unbounded, &limits);
-        let learned = learn_dfa(
-            &alphabet,
-            oracle,
-            |hyp| bounded_equivalence(hyp, oracle, &alphabet, 7),
-            32,
-        )
-        .expect("regular languages are learnable");
         let compiled = periodic_to_nfa(&aut, 3, &WaitingPolicy::Unbounded, &alphabet)
             .expect("periodic")
             .to_dfa()
             .minimize();
+        let bounded = learn_dfa(
+            &alphabet,
+            oracle,
+            |hyp| bounded_equivalence(hyp, oracle, &alphabet, BOUNDED_LEN),
+            32,
+        )
+        .expect("regular languages are learnable");
+        let exact = learn_dfa(
+            &alphabet,
+            oracle,
+            |hyp| hyp.distinguishing_word(&compiled),
+            32,
+        )
+        .expect("regular languages are learnable");
+        if let Some(w) = bounded.distinguishing_word(&compiled) {
+            missed.push(format!("seed {seed}: {w} (length {})", w.len()));
+        }
         t.row(&[
             seed.to_string(),
-            learned.num_states().to_string(),
             compiled.num_states().to_string(),
-            learned.equivalent_to(&compiled).to_string(),
+            bounded.num_states().to_string(),
+            bounded.equivalent_to(&compiled).to_string(),
+            exact.num_states().to_string(),
+            exact.equivalent_to(&compiled).to_string(),
         ]);
     }
     t.note("the learner never sees the graph — only membership answers from the simulator");
+    if !missed.is_empty() {
+        t.note(&format!(
+            "the bounded teacher compares words up to length {BOUNDED_LEN} only, so it accepts \
+             a hypothesis whose shortest separating word from the compiled DFA is longer: {}",
+            missed.join("; ")
+        ));
+    }
     t
 }
 
@@ -792,6 +819,16 @@ mod tests {
         let b = e3_regular_embedding();
         for row in 0..b.num_rows() {
             assert_eq!(b.cell(row, 2), Some("true"), "row {row}");
+        }
+    }
+
+    #[test]
+    fn e3_exact_teacher_learns_every_compiled_dfa() {
+        let t = e3_lstar_learning();
+        assert_eq!(t.num_rows(), 4);
+        for row in 0..t.num_rows() {
+            assert_eq!(t.cell(row, 5), Some("true"), "row {row}");
+            assert_eq!(t.cell(row, 4), t.cell(row, 1), "row {row}");
         }
     }
 

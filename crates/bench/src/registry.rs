@@ -30,7 +30,7 @@ use tvg_model::generators::{
 };
 use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
 use tvg_model::tvgi::{write_tvgi, ShardedIndex};
-use tvg_model::{narrow_tvg, EdgeEvent, EdgeId, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
+use tvg_model::{narrow_tvg, EdgeId, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
 use tvg_serve::{generate_load, serve, LoadSpec, ServeConfig, ServeOutcome, TimedRequest};
 use tvg_testkit::refengine::ref_foremost_tree;
 use tvg_testkit::{fixtures, tickscan};
@@ -441,7 +441,7 @@ fn e7() -> Metrics {
 // ------------------------------------------------------------ E8, E12 --
 
 /// The E8/E12 workload: a scale-free contact graph whose compiled
-/// timeline holds about 550k edge events below horizon 256.
+/// schedule holds about 550k edge events below horizon 256.
 fn scale_free_20k() -> Tvg<u64> {
     scale_free_temporal(20_000, 256, 42)
 }
@@ -683,7 +683,6 @@ struct FlatSnapshot {
     arrival_monotone: Vec<bool>,
     adjacency: Vec<Vec<EdgeId>>,
     dsts: Vec<NodeId>,
-    events: Vec<EdgeEvent<u64>>,
 }
 
 fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
@@ -701,7 +700,6 @@ fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
             .collect(),
         adjacency: g.nodes().map(|n| index.out_edges(n).to_vec()).collect(),
         dsts: edges.iter().map(|&e| index.dst(e)).collect(),
-        events: index.edge_events().cloned().collect(),
         g,
     }
 }

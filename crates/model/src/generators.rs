@@ -92,7 +92,7 @@ pub fn random_periodic_tvg<R: Rng + ?Sized>(
 /// participates in — follow the attachment process's power law: a few
 /// hubs carry most of the timeline while most nodes meet rarely. This is
 /// the large-scale batch/bench workload (experiment E8): at `n` in the
-/// tens of thousands the compiled timeline holds millions of edge
+/// tens of thousands the compiled schedule holds millions of edge
 /// events, a different regime from the commuter-line and ring fixtures.
 ///
 /// Fully determined by `(n, horizon, seed)`.

@@ -7,10 +7,11 @@
 //!
 //! * per-edge presence as a sorted [`IntervalSet`] with binary-search
 //!   `next_departure` and gap-skipping instant enumeration;
-//! * CSR-packed out-edge adjacency (one contiguous slice per node);
-//! * a global time-sorted edge-event timeline (every appearance and
-//!   disappearance of every edge), the substrate for event-driven
-//!   consumers and the unit benchmarks size workloads by.
+//! * CSR-packed out-edge adjacency (one contiguous slice per node).
+//!
+//! The edge-event count benchmarks size workloads by (every appearance
+//! and disappearance of every edge) is derived from the spans: twice
+//! their number.
 //!
 //! Compile once, query many: the single-source journey engine in
 //! `tvg-journeys` and the protocol simulators in `tvg-dynnet` all run on
@@ -140,26 +141,6 @@ pub trait TemporalIndex<T: Time> {
     }
 }
 
-/// Whether an edge appears or disappears at an event instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EdgeEventKind {
-    /// The edge becomes present at this instant.
-    Appear,
-    /// The edge becomes absent at this instant (exclusive span end).
-    Disappear,
-}
-
-/// One entry of the global edge-event timeline.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EdgeEvent<T> {
-    /// The instant of the transition.
-    pub time: T,
-    /// The edge transitioning.
-    pub edge: EdgeId,
-    /// The direction of the transition.
-    pub kind: EdgeEventKind,
-}
-
 /// A [`Tvg`] compiled against a departure horizon.
 ///
 /// ```
@@ -188,15 +169,13 @@ pub struct TvgIndex<'g, T> {
     csr_edges: Vec<EdgeId>,
     dsts: Vec<NodeId>,
     const_lat: Vec<Option<T>>,
-    events: Vec<EdgeEvent<T>>,
 }
 
 impl<'g, T: Time> TvgIndex<'g, T> {
     /// Compiles `g` for departures in `[0, horizon]`.
     ///
     /// Cost is linear in the total number of presence intervals below the
-    /// horizon (plus a sort of the event timeline); every subsequent
-    /// presence query is a binary search.
+    /// horizon; every subsequent presence query is a binary search.
     #[must_use]
     pub fn compile(g: &'g Tvg<T>, horizon: T) -> Self {
         let presence: Vec<IntervalSet<T>> = g
@@ -222,31 +201,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
                 _ => None,
             })
             .collect();
-        // Two events per presence span, known up front — size the
-        // timeline exactly so the push loop never reallocates.
-        let total_spans: usize = presence.iter().map(IntervalSet::num_spans).sum();
-        let mut events = Vec::with_capacity(2 * total_spans);
-        for (i, set) in presence.iter().enumerate() {
-            let edge = EdgeId::from_index(i);
-            for (start, end) in set.spans() {
-                events.push(EdgeEvent {
-                    time: start.clone(),
-                    edge,
-                    kind: EdgeEventKind::Appear,
-                });
-                events.push(EdgeEvent {
-                    time: end.clone(),
-                    edge,
-                    kind: EdgeEventKind::Disappear,
-                });
-            }
-        }
-        debug_assert_eq!(
-            events.len(),
-            events.capacity(),
-            "event timeline presized exactly"
-        );
-        events.sort();
         TvgIndex {
             g,
             horizon,
@@ -256,7 +210,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
             csr_edges,
             dsts,
             const_lat,
-            events,
         }
     }
 
@@ -266,18 +219,16 @@ impl<'g, T: Time> TvgIndex<'g, T> {
         self.g
     }
 
-    /// The global edge-event timeline, sorted by time: every appearance
-    /// and disappearance of every edge within the compiled window.
-    #[must_use]
-    pub fn edge_events(&self) -> &[EdgeEvent<T>] {
-        &self.events
-    }
-
-    /// Total number of edge events (twice the interval count) — the
-    /// workload-size measure the index benchmarks are parameterized by.
+    /// Total number of edge events: one appearance and one
+    /// disappearance per presence span — the workload-size measure the
+    /// index benchmarks are parameterized by.
     #[must_use]
     pub fn num_edge_events(&self) -> usize {
-        self.events.len()
+        2 * self
+            .presence
+            .iter()
+            .map(IntervalSet::num_spans)
+            .sum::<usize>()
     }
 }
 
@@ -383,18 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn event_timeline_is_sorted_and_complete() {
+    fn edge_events_count_both_ends_of_every_span() {
         let g = sample();
         let idx = TvgIndex::compile(&g, 11);
-        let events = idx.edge_events();
-        assert!(events.windows(2).all(|w| w[0] <= w[1]));
         // e0: spans {0,1},{4,5},{8,9} → 6 events; e1: (6,12) → 2; e2: none.
         assert_eq!(idx.num_edge_events(), 8);
-        let appearances: Vec<(u64, usize)> = events
-            .iter()
-            .filter(|ev| ev.kind == EdgeEventKind::Appear)
-            .map(|ev| (ev.time, ev.edge.index()))
-            .collect();
-        assert_eq!(appearances, vec![(0, 0), (4, 0), (6, 1), (8, 0)]);
     }
 }

@@ -93,37 +93,6 @@ impl<T: Time> IntervalSet<T> {
         self.spans.is_empty()
     }
 
-    /// Membership test by binary search.
-    #[must_use]
-    pub fn contains(&self, t: &T) -> bool {
-        self.view().contains(t)
-    }
-
-    /// The earliest member `>= t`, by binary search. `None` if the set
-    /// has no member at or after `t`.
-    #[must_use]
-    pub fn next_at_or_after(&self, t: &T) -> Option<T> {
-        self.view().next_at_or_after(t)
-    }
-
-    /// The earliest member of the inclusive window `[from, until]` —
-    /// the compiled counterpart of `Presence::next_present_within`.
-    #[must_use]
-    pub fn next_within(&self, from: &T, until: &T) -> Option<T> {
-        self.view().next_within(from, until)
-    }
-
-    /// Iterates the members of the inclusive window `[from, until]` in
-    /// increasing order, jumping over absent stretches span to span.
-    ///
-    /// The window endpoints are borrowed, not cloned: on time domains
-    /// with owned representations (the generic fallback the narrow u32
-    /// fast path decays to) constructing the iterator allocates nothing.
-    #[must_use]
-    pub fn instants_within<'a>(&'a self, from: &'a T, until: &'a T) -> Instants<'a, T> {
-        self.view().instants_within(from, until)
-    }
-
     /// Set union.
     #[must_use]
     pub fn union(&self, other: &Self) -> Self {
@@ -313,7 +282,8 @@ impl<'a, T: Time> SpanView<'a, T> {
         i > 0 && self.0[i - 1].1 > *t
     }
 
-    /// The earliest member `>= t`, by binary search.
+    /// The earliest member `>= t`, by binary search. `None` if the set
+    /// has no member at or after `t`.
     #[must_use]
     pub fn next_at_or_after(&self, t: &T) -> Option<T> {
         let i = self.0.partition_point(|(_, e)| e <= t);
@@ -321,14 +291,19 @@ impl<'a, T: Time> SpanView<'a, T> {
         Some(if start > t { start.clone() } else { t.clone() })
     }
 
-    /// The earliest member of the inclusive window `[from, until]`.
+    /// The earliest member of the inclusive window `[from, until]` —
+    /// the compiled counterpart of `Presence::next_present_within`.
     #[must_use]
     pub fn next_within(&self, from: &T, until: &T) -> Option<T> {
         self.next_at_or_after(from).filter(|t| t <= until)
     }
 
     /// Iterates the members of the inclusive window `[from, until]` in
-    /// increasing order (see [`IntervalSet::instants_within`]).
+    /// increasing order, jumping over absent stretches span to span.
+    ///
+    /// The window endpoints are borrowed, not cloned: on time domains
+    /// with owned representations (the generic fallback the narrow u32
+    /// fast path decays to) constructing the iterator allocates nothing.
     #[must_use]
     pub fn instants_within(self, from: &'a T, until: &'a T) -> Instants<'a, T> {
         let idx = self.0.partition_point(|(_, e)| e <= from);
@@ -404,32 +379,36 @@ mod tests {
     fn contains_by_binary_search() {
         let s = set(&[(2, 4), (7, 8)]);
         for t in 0u64..12 {
-            assert_eq!(s.contains(&t), (2..4).contains(&t) || t == 7, "t={t}");
+            assert_eq!(
+                s.view().contains(&t),
+                (2..4).contains(&t) || t == 7,
+                "t={t}"
+            );
         }
     }
 
     #[test]
     fn next_queries() {
         let s = set(&[(2, 4), (7, 8)]);
-        assert_eq!(s.next_at_or_after(&0), Some(2));
-        assert_eq!(s.next_at_or_after(&3), Some(3));
-        assert_eq!(s.next_at_or_after(&4), Some(7));
-        assert_eq!(s.next_at_or_after(&8), None);
-        assert_eq!(s.next_within(&0, &1), None);
-        assert_eq!(s.next_within(&0, &2), Some(2));
-        assert_eq!(s.next_within(&4, &7), Some(7));
+        assert_eq!(s.view().next_at_or_after(&0), Some(2));
+        assert_eq!(s.view().next_at_or_after(&3), Some(3));
+        assert_eq!(s.view().next_at_or_after(&4), Some(7));
+        assert_eq!(s.view().next_at_or_after(&8), None);
+        assert_eq!(s.view().next_within(&0, &1), None);
+        assert_eq!(s.view().next_within(&0, &2), Some(2));
+        assert_eq!(s.view().next_within(&4, &7), Some(7));
     }
 
     #[test]
     fn instants_enumerate_window() {
         let s = set(&[(2, 4), (7, 9)]);
-        let all: Vec<u64> = s.instants_within(&0, &20).collect();
+        let all: Vec<u64> = s.view().instants_within(&0, &20).collect();
         assert_eq!(all, vec![2, 3, 7, 8]);
-        let mid: Vec<u64> = s.instants_within(&3, &7).collect();
+        let mid: Vec<u64> = s.view().instants_within(&3, &7).collect();
         assert_eq!(mid, vec![3, 7]);
-        let none: Vec<u64> = s.instants_within(&9, &20).collect();
+        let none: Vec<u64> = s.view().instants_within(&9, &20).collect();
         assert!(none.is_empty());
-        let empty_window: Vec<u64> = s.instants_within(&8, &7).collect();
+        let empty_window: Vec<u64> = s.view().instants_within(&8, &7).collect();
         assert!(empty_window.is_empty());
     }
 
@@ -453,9 +432,21 @@ mod tests {
         let b = set(&[(0, 2), (4, 10), (13, 14)]);
         let (u, i, c) = (a.union(&b), a.intersect(&b), a.complement_within(&25));
         for t in 0u64..30 {
-            assert_eq!(u.contains(&t), a.contains(&t) || b.contains(&t), "u t={t}");
-            assert_eq!(i.contains(&t), a.contains(&t) && b.contains(&t), "i t={t}");
-            assert_eq!(c.contains(&t), t < 25 && !a.contains(&t), "c t={t}");
+            assert_eq!(
+                u.view().contains(&t),
+                a.view().contains(&t) || b.view().contains(&t),
+                "u t={t}"
+            );
+            assert_eq!(
+                i.view().contains(&t),
+                a.view().contains(&t) && b.view().contains(&t),
+                "i t={t}"
+            );
+            assert_eq!(
+                c.view().contains(&t),
+                t < 25 && !a.view().contains(&t),
+                "c t={t}"
+            );
         }
     }
 

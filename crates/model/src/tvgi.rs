@@ -1,7 +1,7 @@
 //! The on-disk index: a compiled schedule persisted as a `.tvgi` file.
 //!
 //! [`TvgIndex::compile`] pays the full materialization cost — presence
-//! spans, CSR adjacency, the event timeline — every time a process
+//! spans and CSR adjacency — every time a process
 //! starts. This module makes that cost a *build step*: [`write_tvgi`]
 //! serializes a compiled index into a versioned, little-endian,
 //! section-table binary format, and [`ShardedIndex::open`] gives it
@@ -9,7 +9,7 @@
 //! slices of its decoded arenas, so an index compiles once and any
 //! number of processes query it without recompiling.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -19,17 +19,22 @@
 //! │ section table: sections × (id u32 · shard u32 ·              │
 //! │   offset u64 · len u64)   — offsets 8-byte aligned           │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ global sections: META · NAMES_OFF/NAMES_BYTES · SPEC ·       │
-//! │   EDGE_SHARD/EDGE_LOCAL/EDGE_DST/EDGE_MONO/EDGE_LAT ·        │
-//! │   SHARD_RANGES · EVENT_TIME/EVENT_EDGE                       │
+//! │ global sections: META (nodes · edges · horizon · shards) ·   │
+//! │   NAMES_OFF/NAMES_BYTES · SPEC · EDGE_SHARD/EDGE_LOCAL/      │
+//! │   EDGE_DST/EDGE_MONO/EDGE_LAT · SHARD_RANGES                 │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ shard 0: CSR_OFF · CSR_EDGES · SPAN_OFF · SPANS · BOUNDARY   │
 //! │ shard 1: …                                  (× shards)       │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! Version 1 also stored the global edge-event timeline (section ids
+//! 11 and 12, plus an event-count word in `META`). That timeline is a
+//! function of the spans, so version 2 drops it; those ids are retired
+//! and a file carrying them is refused, as is a version-1 file.
+//!
 //! Every multi-byte value is little-endian. *Time-valued* sections
-//! (`SPANS`, `EVENT_TIME`, `EDGE_LAT`, the horizon word of `META`)
+//! (`SPANS`, `EDGE_LAT`, the horizon word of `META`)
 //! store `width`-byte words — 4 when the index was compiled in the
 //! [`narrow_tvg`](crate::narrow_tvg)-compressed `u32` domain, 8 for
 //! native `u64` times — so narrowing halves the hot sections on disk
@@ -71,7 +76,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::index::{EdgeEvent, EdgeEventKind, TemporalIndex, TvgIndex};
+use crate::index::{TemporalIndex, TvgIndex};
 use crate::interval::SpanView;
 use crate::{EdgeId, Latency, NodeId, Time};
 
@@ -79,7 +84,7 @@ use crate::{EdgeId, Latency, NodeId, Time};
 pub const MAGIC: [u8; 4] = *b"TVGI";
 
 /// The format version this build writes and reads.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 24;
@@ -97,7 +102,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 mod section {
-    //! Section identifiers of format version 1.
+    //! Section identifiers of format version 2 (ids 11 and 12 held the
+    //! version-1 event timeline and are retired).
     pub const META: u32 = 1;
     pub const NAMES_OFF: u32 = 2;
     pub const NAMES_BYTES: u32 = 3;
@@ -108,8 +114,6 @@ mod section {
     pub const EDGE_MONO: u32 = 8;
     pub const EDGE_LAT: u32 = 9;
     pub const SHARD_RANGES: u32 = 10;
-    pub const EVENT_TIME: u32 = 11;
-    pub const EVENT_EDGE: u32 = 12;
     pub const CSR_OFF: u32 = 13;
     pub const CSR_EDGES: u32 = 14;
     pub const SPAN_OFF: u32 = 15;
@@ -118,11 +122,7 @@ mod section {
 }
 
 /// Number of `u64` words in the `META` section.
-const META_WORDS: usize = 5;
-
-/// Bit marking a disappearance in an `EVENT_EDGE` word (appearances
-/// leave it clear); the low 31 bits are the edge index.
-const EVENT_DOWN_BIT: u32 = 1 << 31;
+const META_WORDS: usize = 4;
 
 /// Everything that can go wrong opening, validating, or writing a
 /// `.tvgi` file. Every failure mode is a typed variant — a corrupt or
@@ -162,8 +162,8 @@ pub enum TvgiError {
     /// Structurally well-formed but self-contradictory content (counts
     /// that disagree, offsets that are not monotone, ids out of range).
     Inconsistent(&'static str),
-    /// The index uses a non-constant latency on some edge; format
-    /// version 1 only persists constant latencies.
+    /// The index uses a non-constant latency on some edge; the format
+    /// only persists constant latencies.
     UnsupportedLatency(EdgeId),
 }
 
@@ -197,7 +197,7 @@ impl std::fmt::Display for TvgiError {
             TvgiError::UnsupportedLatency(e) => {
                 write!(
                     f,
-                    "edge {e} has a non-constant latency; tvgi v1 stores constants only"
+                    "edge {e} has a non-constant latency; tvgi stores constants only"
                 )
             }
         }
@@ -290,7 +290,7 @@ fn elem_width(id: u32, time_width: u8) -> u64 {
     match id {
         section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => 8,
         section::NAMES_BYTES | section::SPEC => 1,
-        section::EDGE_LAT | section::EVENT_TIME | section::SPANS => u64::from(time_width),
+        section::EDGE_LAT | section::SPANS => u64::from(time_width),
         _ => 4,
     }
 }
@@ -323,8 +323,6 @@ pub struct TvgiSummary {
     pub num_edges: usize,
     /// Total presence spans across all shards.
     pub num_spans: usize,
-    /// Edge-event timeline length.
-    pub num_events: usize,
 }
 
 /// Balanced contiguous node ranges: `k` shards over `n` nodes, sizes
@@ -351,7 +349,7 @@ fn shard_ranges(n: usize, k: u32) -> Vec<u32> {
 /// # Errors
 ///
 /// [`TvgiError::UnsupportedLatency`] if any edge's latency is not
-/// [`Latency::Const`] (format v1 persists constant latencies only —
+/// [`Latency::Const`] (the format persists constant latencies only —
 /// every built-in generator emits them), or [`TvgiError::Io`] on a
 /// filesystem failure.
 pub fn write_tvgi<T: TvgiTime>(
@@ -365,8 +363,8 @@ pub fn write_tvgi<T: TvgiTime>(
     let m = g.num_edges();
     let k = shards.clamp(1, u32::try_from(n.max(1)).unwrap_or(u32::MAX));
 
-    // Per-edge constant latencies — the one schedule feature v1 needs
-    // from the AST. Anything fancier must stay on the compile-per-run
+    // Per-edge constant latencies — the one schedule feature the format
+    // needs from the AST. Anything fancier must stay on the compile-per-run
     // path.
     let mut edge_lat: Vec<u64> = Vec::with_capacity(m);
     for e in g.edges() {
@@ -432,22 +430,6 @@ pub fn write_tvgi<T: TvgiTime>(
         shard_bufs.push(buf);
     }
 
-    // Event timeline, packed as parallel time/edge-word arrays.
-    let events = index.edge_events();
-    let mut event_time: Vec<u64> = Vec::with_capacity(events.len());
-    let mut event_edge: Vec<u32> = Vec::with_capacity(events.len());
-    for ev in events {
-        let ei = u32::try_from(ev.edge.index())
-            .ok()
-            .filter(|ei| ei & EVENT_DOWN_BIT == 0)
-            .ok_or(TvgiError::Inconsistent("edge index exceeds 31 bits"))?;
-        event_time.push(ev.time.to_word());
-        event_edge.push(match ev.kind {
-            EdgeEventKind::Appear => ei,
-            EdgeEventKind::Disappear => ei | EVENT_DOWN_BIT,
-        });
-    }
-
     // Node names.
     let mut names_off: Vec<u64> = Vec::with_capacity(n + 1);
     let mut names_bytes: Vec<u8> = Vec::new();
@@ -459,13 +441,7 @@ pub fn write_tvgi<T: TvgiTime>(
 
     let spec_bytes = spec.unwrap_or("").as_bytes().to_vec();
     let horizon = index.horizon().to_word();
-    let meta: Vec<u64> = vec![
-        n as u64,
-        m as u64,
-        horizon,
-        events.len() as u64,
-        u64::from(k),
-    ];
+    let meta: Vec<u64> = vec![n as u64, m as u64, horizon, u64::from(k)];
 
     // Assemble the payload plan: (id, shard, bytes).
     let width = T::WIDTH;
@@ -518,8 +494,6 @@ pub fn write_tvgi<T: TvgiTime>(
         ),
         (section::EDGE_LAT, GLOBAL, time_bytes(&edge_lat)),
         (section::SHARD_RANGES, GLOBAL, u32_bytes(&ranges)),
-        (section::EVENT_TIME, GLOBAL, time_bytes(&event_time)),
-        (section::EVENT_EDGE, GLOBAL, u32_bytes(&event_edge)),
     ];
     for (s, buf) in shard_bufs.into_iter().enumerate() {
         let s = u32::try_from(s).expect("shard fits in u32");
@@ -616,7 +590,6 @@ pub fn write_tvgi<T: TvgiTime>(
         num_nodes: n,
         num_edges: m,
         num_spans,
-        num_events: events.len(),
     })
 }
 
@@ -708,8 +681,6 @@ pub struct ShardedIndex<T> {
     edge_dst: Vec<u32>,
     edge_mono: Vec<u32>,
     edge_lat: Vec<T>,
-    event_time: Vec<T>,
-    event_edge: Vec<u32>,
     names_off: Vec<u64>,
     names_bytes: Vec<u8>,
     spec: String,
@@ -826,7 +797,9 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let payload_start = HEADER_LEN + table_len;
         let mut seen: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for (i, sec) in table.iter().enumerate() {
-            if !(section::META..=section::BOUNDARY).contains(&sec.id) {
+            let known = (section::META..=section::SHARD_RANGES).contains(&sec.id)
+                || (section::CSR_OFF..=section::BOUNDARY).contains(&sec.id);
+            if !known {
                 return Err(TvgiError::Inconsistent("unknown section id"));
             }
             let ew = elem_width(sec.id, info.width);
@@ -881,9 +854,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
             usize::try_from(meta[1]).map_err(|_| TvgiError::Inconsistent("edge count"))?;
         let horizon =
             T::from_word(meta[2]).ok_or(TvgiError::Inconsistent("horizon exceeds time width"))?;
-        let num_events =
-            usize::try_from(meta[3]).map_err(|_| TvgiError::Inconsistent("event count"))?;
-        if meta[4] != u64::from(info.shards) {
+        if meta[3] != u64::from(info.shards) {
             return Err(TvgiError::Inconsistent(
                 "META shard count disagrees with header",
             ));
@@ -923,13 +894,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let sec = *global(section::EDGE_LAT)?;
         expect_len(&sec, num_edges, "EDGE_LAT length")?;
         let edge_lat = read_words::<T>(&mut f, &sec)?;
-
-        let sec = *global(section::EVENT_TIME)?;
-        expect_len(&sec, num_events, "EVENT_TIME length")?;
-        let event_time = read_words::<T>(&mut f, &sec)?;
-        let sec = *global(section::EVENT_EDGE)?;
-        expect_len(&sec, num_events, "EVENT_EDGE length")?;
-        let event_edge = read_u32s(&mut f, &sec)?;
 
         let sec = *global(section::NAMES_OFF)?;
         expect_len(&sec, num_nodes + 1, "NAMES_OFF length")?;
@@ -1039,12 +1003,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
         if edge_dst.iter().any(|&d| d as usize >= num_nodes) {
             return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
         }
-        if event_edge
-            .iter()
-            .any(|&w| (w & !EVENT_DOWN_BIT) as usize >= num_edges)
-        {
-            return Err(TvgiError::Inconsistent("EVENT_EDGE out of range"));
-        }
 
         Ok(ShardedIndex {
             horizon,
@@ -1056,8 +1014,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
             edge_dst,
             edge_mono,
             edge_lat,
-            event_time,
-            event_edge,
             names_off,
             names_bytes,
             spec,
@@ -1127,30 +1083,12 @@ impl<T: TvgiTime> ShardedIndex<T> {
         std::str::from_utf8(&self.names_bytes[lo..hi]).unwrap_or("<non-utf8>")
     }
 
-    /// Length of the edge-event timeline (the workload-size measure
+    /// Total number of edge events: one appearance and one
+    /// disappearance per stored span (the workload-size measure
     /// scenario reports carry).
     #[must_use]
     pub fn num_edge_events(&self) -> usize {
-        self.event_edge.len()
-    }
-
-    /// Materializes the edge-event timeline (allocates; for oracles
-    /// and reports, not query paths).
-    #[must_use]
-    pub fn edge_events(&self) -> Vec<EdgeEvent<T>> {
-        self.event_time
-            .iter()
-            .zip(&self.event_edge)
-            .map(|(t, &w)| EdgeEvent {
-                time: *t,
-                edge: EdgeId::from_index((w & !EVENT_DOWN_BIT) as usize),
-                kind: if w & EVENT_DOWN_BIT == 0 {
-                    EdgeEventKind::Appear
-                } else {
-                    EdgeEventKind::Disappear
-                },
-            })
-            .collect()
+        2 * self.shards.iter().map(|sh| sh.spans.len()).sum::<usize>()
     }
 }
 
@@ -1246,7 +1184,7 @@ mod tests {
         for n in (0..idx.num_nodes()).map(NodeId::from_index) {
             assert_eq!(idx.out_edges(n), mapped.out_edges(n), "{n} adjacency");
         }
-        assert_eq!(idx.edge_events(), mapped.edge_events().as_slice());
+        assert_eq!(idx.num_edge_events(), mapped.num_edge_events());
     }
 
     #[test]

@@ -342,7 +342,7 @@ pub fn assert_publication_counters(
 
 /// Asserts that two live indexes are structurally identical: horizon,
 /// node/edge counts, per-edge presence spans and monotonicity, per-node
-/// adjacency, edge destinations, and the global event timeline.
+/// adjacency, and edge destinations.
 ///
 /// # Panics
 ///
@@ -379,9 +379,6 @@ pub fn assert_index_structure_eq(a: &LiveIndex<u64>, b: &LiveIndex<u64>, label: 
             "{label}: adjacency of {n} diverges"
         );
     }
-    let a_events: Vec<_> = a.edge_events().cloned().collect();
-    let b_events: Vec<_> = b.edge_events().cloned().collect();
-    assert_eq!(a_events, b_events, "{label}: edge-event timeline diverges");
 }
 
 /// Asserts that structure-sharing snapshots are byte-identical to

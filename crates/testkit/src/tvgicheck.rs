@@ -38,7 +38,7 @@ pub fn scratch_path(label: &str) -> PathBuf {
 /// index: for every source node and each of `policies`, the foremost
 /// tree's arrivals, witness journeys, and [`tvg_journeys::EngineStats`]
 /// are equal. Also pins the structural accessors (presence spans,
-/// adjacency, destinations, edge-event timeline).
+/// adjacency, destinations).
 ///
 /// # Panics
 ///
@@ -99,16 +99,6 @@ pub fn assert_tvgi_round_trip<T: TvgiTime>(
             "{label}: name of {n} diverges"
         );
     }
-    assert_eq!(
-        mapped.edge_events(),
-        index.edge_events().to_vec(),
-        "{label}: edge-event timeline diverges"
-    );
-    assert_eq!(
-        mapped.num_edge_events(),
-        index.num_edge_events(),
-        "{label}: event count diverges"
-    );
 
     // Behavioral equality: every engine answer, witness, and counter.
     let limits = SearchLimits::new(horizon, usize::MAX);

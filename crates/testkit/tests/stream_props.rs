@@ -13,15 +13,26 @@
 //! `Nat`-domain streaming of the Figure-1 schedule, the
 //! append-at-boundary edge cases of the stream layer, and a
 //! chunk-boundary torture test that lands mutations exactly on the
-//! persistent columns' chunk edges (`COL_CHUNK`/`LOG_CHUNK`) with
-//! reopen-at-close retractions and a horizon extension, while retained
-//! snapshots pin every intermediate epoch against a rebuild.
+//! persistent columns' chunk edges (`COL_CHUNK`) with reopen-at-close
+//! merges and a horizon extension, while retained snapshots pin every
+//! intermediate epoch against a rebuild.
 
 use tvg_bigint::Nat;
 use tvg_journeys::{IncrementalForemost, SearchLimits, WaitingPolicy};
-use tvg_model::stream::TvgStream;
+use tvg_model::stream::{LiveIndex, TvgStream};
 use tvg_model::{NodeId, TemporalIndex, Time};
 use tvg_testkit::{batchcheck, gen, streamcheck, Config};
+
+/// The derived edge-event count is one appearance plus one
+/// disappearance per presence span.
+fn assert_events_are_twice_the_spans(index: &LiveIndex<u64>, label: &str) {
+    let spans: usize = index.tvg().edges().map(|e| index.presence(e).len()).sum();
+    assert_eq!(
+        index.num_edge_events(),
+        2 * spans,
+        "{label}: edge-event count"
+    );
+}
 
 fn policies() -> [WaitingPolicy<u64>; 3] {
     [
@@ -171,7 +182,7 @@ fn leave_then_rejoin_keeps_ids_fresh_and_answers_exact() {
 
 #[test]
 fn a_leave_at_the_chunk_boundary_closes_every_open_span() {
-    use tvg_model::pcol::{COL_CHUNK, LOG_CHUNK};
+    use tvg_model::pcol::COL_CHUNK;
     use tvg_model::stream::StreamEvent;
     use tvg_model::Latency;
     use tvg_testkit::servecheck;
@@ -195,8 +206,8 @@ fn a_leave_at_the_chunk_boundary_closes_every_open_span() {
         (stream, edges)
     };
     let (mut stream, edges) = build();
-    // Enough up/down rounds to push the timeline past one log chunk,
-    // then reopen everything and cut it all down with one leave.
+    // Nine up/down rounds, then reopen everything and cut it all down
+    // with one leave.
     let mut batches: Vec<Vec<StreamEvent<u64>>> = Vec::new();
     for r in 0..9u64 {
         let mut batch = Vec::new();
@@ -227,10 +238,7 @@ fn a_leave_at_the_chunk_boundary_closes_every_open_span() {
         streamcheck::assert_live_matches_recompile(&stream, &format!("churn torture batch {i}"));
         snapshots.push(stream.snapshot());
     }
-    assert!(
-        stream.index().num_edge_events() > LOG_CHUNK,
-        "timeline must cross the log-chunk boundary"
-    );
+    assert_events_are_twice_the_spans(stream.index(), "churn torture");
     assert!(stream.index().chunks_frozen() > 1, "columns froze chunks");
     assert_eq!(stream.num_departed(), 1);
 
@@ -241,11 +249,9 @@ fn a_leave_at_the_chunk_boundary_closes_every_open_span() {
         for batch in &batches[..epoch] {
             fresh.ingest(batch).expect("churn torture feed is valid");
         }
-        servecheck::assert_index_structure_eq(
-            snapshot,
-            fresh.index(),
-            &format!("churn torture epoch {epoch} snapshot vs rebuild"),
-        );
+        let label = format!("churn torture epoch {epoch} snapshot vs rebuild");
+        servecheck::assert_index_structure_eq(snapshot, fresh.index(), &label);
+        assert_events_are_twice_the_spans(snapshot, &label);
     }
 }
 
@@ -353,7 +359,7 @@ fn figure1_nat_schedule_streams_identically() {
 #[test]
 fn chunk_boundary_torture_survives_sharing_and_retraction() {
     use tvg_journeys::foremost_tree_multi;
-    use tvg_model::pcol::{COL_CHUNK, LOG_CHUNK};
+    use tvg_model::pcol::COL_CHUNK;
     use tvg_model::stream::StreamEvent;
     use tvg_model::{Latency, TvgIndex};
     use tvg_testkit::servecheck;
@@ -379,12 +385,11 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     let (mut stream, edges) = build();
     let boundary = [edges[COL_CHUNK - 1], edges[COL_CHUNK]];
 
-    // Nine up/down rounds over all edges push the global timeline past
-    // LOG_CHUNK events. Rounds 3 and 6 reopen the boundary edges at
-    // exactly their previous close — the merge retraction that rewrites
-    // already-recorded events at the watermark. The last round leaves
-    // the hub's first edge and both boundary edges open so the final
-    // horizon extension moves their provisional closes.
+    // Nine up/down rounds over all edges. Rounds 3 and 6 reopen the
+    // boundary edges at exactly their previous close — the merge that
+    // rewrites an already-closed span at the watermark. The last round
+    // leaves the hub's first edge and both boundary edges open so the
+    // final horizon extension moves their provisional closes.
     let mut batches: Vec<Vec<StreamEvent<u64>>> = Vec::new();
     for r in 0..9u64 {
         let reopen = r == 3 || r == 6;
@@ -426,11 +431,7 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
 
     // The workload really crossed the chunk boundaries it targets.
     assert!(edges.len() > COL_CHUNK, "per-edge columns span two chunks");
-    let events = stream.index().num_edge_events();
-    assert!(
-        events > LOG_CHUNK,
-        "timeline must cross the log-chunk boundary, got {events}"
-    );
+    assert_events_are_twice_the_spans(stream.index(), "torture");
     let frozen = stream.index().chunks_frozen();
     assert!(frozen > 1, "columns froze chunks, got {frozen}");
     let copied = stream.index().chunks_copied();
@@ -447,11 +448,9 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
         for batch in &batches[..epoch] {
             fresh.ingest(batch).expect("torture feed is valid");
         }
-        servecheck::assert_index_structure_eq(
-            snapshot,
-            fresh.index(),
-            &format!("torture epoch {epoch} snapshot vs rebuild"),
-        );
+        let label = format!("torture epoch {epoch} snapshot vs rebuild");
+        servecheck::assert_index_structure_eq(snapshot, fresh.index(), &label);
+        assert_events_are_twice_the_spans(snapshot, &label);
     }
 
     // And the final index answers bit-identically to a batch compile:

@@ -9,9 +9,10 @@
 //!    oracle (`tvgicheck`) pins arrivals, witnesses, and stats
 //!    bit-identical on generated graphs.
 //! 2. **Failure modes** — every way a file can be wrong (truncated,
-//!    foreign magic, future version, overlapping or misaligned section
-//!    table, any single flipped byte) is a typed [`TvgiError`], never
-//!    a panic and never a silently-wrong index.
+//!    foreign magic, retired or future version, a retired section id,
+//!    overlapping or misaligned section table, any single flipped
+//!    byte) is a typed [`TvgiError`], never a panic and never a
+//!    silently-wrong index.
 
 use tvg_journeys::WaitingPolicy;
 use tvg_model::generators::scale_free_temporal;
@@ -227,6 +228,53 @@ fn foreign_magic_and_future_version_are_typed() {
         }
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Version 1 stored the edge-event timeline; version 2 derives it from
+/// the spans and keeps no version-1 reader.
+#[test]
+fn a_version_1_header_is_refused() {
+    let (path, mut bytes) = valid_file("v1");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(VERSION, 2);
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    reseal(&mut bytes);
+    assert_eq!(
+        open_bytes("v1-open", &bytes).expect_err("must fail"),
+        TvgiError::UnsupportedVersion(1)
+    );
+    let path = scratch_path("v1-peek");
+    std::fs::write(&path, &bytes).expect("scratch write");
+    assert_eq!(
+        peek_tvgi(&path).expect_err("must fail"),
+        TvgiError::UnsupportedVersion(1)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Section ids 11 and 12 held the version-1 timeline (`EVENT_TIME`,
+/// `EVENT_EDGE`). A resealed version-2 file that still carries one —
+/// here the `SPEC` entry (id 4) retagged — is refused by name, not
+/// read or skipped.
+#[test]
+fn a_resealed_retired_event_section_is_refused() {
+    let (path, bytes) = valid_file("retired");
+    let _ = std::fs::remove_file(&path);
+    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let spec_entry = (0..n_sections)
+        .map(|i| 24 + 24 * i)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == 4)
+        .expect("SPEC is in the table");
+    for retired in [11u32, 12] {
+        let mut forged = bytes.clone();
+        forged[spec_entry..spec_entry + 4].copy_from_slice(&retired.to_le_bytes());
+        reseal(&mut forged);
+        assert_eq!(
+            open_bytes("retired-open", &forged).expect_err("must fail"),
+            TvgiError::Inconsistent("unknown section id"),
+            "section id {retired}"
+        );
+    }
 }
 
 /// Section-table entries live at `24 + 24·i`; offset is at +8, len at
