@@ -22,7 +22,9 @@ use tvg_expressivity::dilation::dilation_disagreements;
 use tvg_expressivity::nowait_power::DeciderAutomaton;
 use tvg_expressivity::wait_regular::{eventually_periodic_to_nfa, periodic_to_nfa};
 use tvg_journeys::engine::{foremost_to, foremost_tree, foremost_tree_multi};
-use tvg_journeys::{Batch, BatchRunner, IncrementalForemost, SearchLimits, WaitingPolicy};
+use tvg_journeys::{
+    Batch, BatchRunner, IncrementalForemost, SearchLimits, WaitingPolicy, Workspace,
+};
 use tvg_langs::{machines, Alphabet, Grammar, Word};
 use tvg_model::generators::{
     peer_lifecycle_churn, random_periodic_tvg, ring_bus_tvg, scale_free_temporal,
@@ -350,7 +352,9 @@ fn e6() -> Metrics {
 /// workload is a random periodic TVG with ≥10k edge events; its index
 /// rows run in the narrowed `u32` domain the scenario runtime picks for
 /// horizon 512, while tick scan walks the `u64` graph. The two paper
-/// fixtures run both paths in `u64`.
+/// fixtures run both paths in `u64`, and the index path twice: one
+/// fresh workspace per query (`indexed`) and one reused workspace for
+/// all of them (`reused`).
 fn e7() -> Metrics {
     let params = RandomPeriodicParams {
         num_nodes: 64,
@@ -429,6 +433,12 @@ fn e7() -> Metrics {
         for (label, policy) in policies::<u64>(4) {
             m.time_x1000(&format!("{name}_indexed_{label}"), 5, || {
                 foremost_to(&index, src, dst, &0, &policy, &limits)
+            });
+            // The same queries through one reused workspace: what is
+            // left once the per-run O(n + m) set-up is gone.
+            let mut ws = Workspace::new();
+            m.time_x1000(&format!("{name}_reused_{label}"), 5, || {
+                ws.foremost_to(&index, src, dst, &0, &policy, &limits)
             });
             m.time_x1000(&format!("{name}_tickscan_{label}"), 5, || {
                 tickscan::foremost_journey(&g, src, dst, &0, &policy, &limits)

@@ -92,9 +92,9 @@ pub fn delivery_ratio(trace: &EvolvingTrace, start: u64, policy: &WaitingPolicy<
         &start,
         policy,
         &limits,
-        // Reached nodes include the source itself; ordered pairs
-        // exclude it.
-        |src, tree| tree.reached_nodes().filter(|node| *node != src).count(),
+        // Reached nodes include the source itself (its seed);
+        // ordered pairs exclude it.
+        |_, tree| tree.num_reached() - 1,
     );
     let delivered: usize = counts.into_iter().sum();
     delivered as f64 / (n * (n - 1)) as f64

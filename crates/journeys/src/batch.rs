@@ -15,6 +15,9 @@
 //!                         └──▶ workerₖ ─ engine run ─┘   index (stable)
 //! ```
 //!
+//! Each worker, and the serial path, owns one engine
+//! [`Workspace`] and runs every query it claims through it, so a query
+//! costs what its run touches rather than O(n + m) of fresh arrays.
 //! Workers claim queries from an atomic counter (no static chunking, so
 //! a straggler query cannot idle the other workers) and return
 //! `(input index, result)` pairs; the merge step reorders results into
@@ -29,11 +32,14 @@
 //! exactly n runs" holds at any thread count.
 //!
 //! Consumers that keep less than a full tree per query (a matrix row, a
-//! count) should use the `map_*` variants: the reduction runs inside
-//! the worker and the tree is dropped there, so peak memory is
-//! O(workers) trees instead of O(batch).
+//! count) should use the `map_*` variants (and [`BatchRunner::run_pairs`]
+//! keeps only the witness): the reduction reads the tree borrowed from
+//! the worker's workspace, so peak memory is O(workers) workspaces
+//! instead of O(batch) trees. [`BatchRunner::run_sources`] and
+//! [`BatchRunner::run_seed_sets`] move each tree out and return them
+//! all.
 
-use crate::engine::{self, EngineStats, ForemostTree};
+use crate::engine::{EngineStats, ForemostTree, Workspace};
 use crate::{Journey, SearchLimits, WaitingPolicy};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -246,8 +252,9 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        self.collect(fan_out(self.batch.num_threads(), sources, |&src| {
-            engine::foremost_tree(self.index, src, start, policy, limits)
+        self.collect(fan_out(self.batch.num_threads(), sources, |ws, &src| {
+            ws.foremost_tree(self.index, src, start, policy, limits);
+            ws.take_tree()
         }))
     }
 
@@ -263,18 +270,20 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        self.collect(fan_out(self.batch.num_threads(), seed_sets, |seeds| {
-            engine::foremost_tree_multi(self.index, seeds, policy, limits)
+        self.collect(fan_out(self.batch.num_threads(), seed_sets, |ws, seeds| {
+            ws.foremost_tree_multi(self.index, seeds, policy, limits);
+            ws.take_tree()
         }))
     }
 
     /// [`BatchRunner::run_sources`] with worker-side reduction: `reduce`
-    /// distills each tree into whatever the consumer keeps (a matrix
-    /// row, a reached-count), and the tree — parent maps included — is
-    /// dropped inside the worker. A batch of n queries therefore holds
-    /// O(workers) trees in flight instead of n, which is what lets the
-    /// aggregate consumers run at graph scale. Results stay in input
-    /// order; the summed stats still count one run per query.
+    /// distills each tree, borrowed from the worker's workspace, into
+    /// whatever the consumer keeps (a matrix row, a reached-count), and
+    /// the workspace's next run reuses the tree's storage. A batch of n
+    /// queries therefore holds O(workers) workspaces instead of n
+    /// trees, which is what lets the aggregate consumers run at graph
+    /// scale. Results stay in input order; the summed stats still count
+    /// one run per query.
     #[must_use]
     pub fn map_sources<T: Time + Send + Sync, R: Send>(
         &self,
@@ -287,9 +296,9 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(self.batch.num_threads(), sources, |&src| {
-            let tree = engine::foremost_tree(self.index, src, start, policy, limits);
-            (reduce(src, &tree), tree.stats())
+        split_stats(fan_out(self.batch.num_threads(), sources, |ws, &src| {
+            let tree = ws.foremost_tree(self.index, src, start, policy, limits);
+            (reduce(src, tree), tree.stats())
         }))
     }
 
@@ -307,9 +316,9 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(self.batch.num_threads(), seed_sets, |seeds| {
-            let tree = engine::foremost_tree_multi(self.index, seeds, policy, limits);
-            (reduce(seeds, &tree), tree.stats())
+        split_stats(fan_out(self.batch.num_threads(), seed_sets, |ws, seeds| {
+            let tree = ws.foremost_tree_multi(self.index, seeds, policy, limits);
+            (reduce(seeds, tree), tree.stats())
         }))
     }
 
@@ -329,15 +338,9 @@ impl<'i, I> BatchRunner<'i, I> {
         let (journeys, stats) = split_stats(fan_out(
             self.batch.num_threads(),
             queries,
-            |(src, dst, start): &(NodeId, NodeId, T)| {
-                let tree = engine::run(
-                    self.index,
-                    &[(*src, start.clone())],
-                    policy,
-                    limits,
-                    Some(*dst),
-                );
-                (tree.journey_to(*dst), tree.stats())
+            |ws, (src, dst, start): &(NodeId, NodeId, T)| {
+                let journey = ws.foremost_to(self.index, *src, *dst, start, policy, limits);
+                (journey, ws.tree().stats())
             },
         ));
         BatchJourneys { journeys, stats }
@@ -357,6 +360,8 @@ fn split_stats<R>(results: Vec<(R, EngineStats)>) -> (Vec<R>, EngineStats) {
 }
 
 /// Runs `f` over every job and returns the results in input order.
+/// Every call of `f` gets the engine workspace of the thread it runs
+/// on: one for the serial path, one per worker otherwise.
 ///
 /// With one thread (or at most one job) everything runs inline on the
 /// calling thread — the serial escape hatch costs no spawn. Otherwise
@@ -372,14 +377,16 @@ fn split_stats<R>(results: Vec<(R, EngineStats)>) -> (Vec<R>, EngineStats) {
 /// handle, and `join().expect(..)` would double-panic while siblings
 /// are still mid-query). Callers see the original payload via
 /// [`std::panic::resume_unwind`], with no stranded threads behind it.
-fn fan_out<J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
+fn fan_out<T, J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
 where
+    T: Time,
     J: Sync,
     R: Send,
-    F: Fn(&J) -> R + Sync,
+    F: Fn(&mut Workspace<T>, &J) -> R + Sync,
 {
     if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(f).collect();
+        let mut ws = Workspace::new();
+        return jobs.iter().map(|job| f(&mut ws, job)).collect();
     }
     let workers = threads.min(jobs.len());
     let next = AtomicUsize::new(0);
@@ -391,13 +398,14 @@ where
             .map(|_| {
                 let (next, f) = (&next, &f);
                 scope.spawn(move || {
+                    let mut ws = Workspace::new();
                     let mut done: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(i) else {
                             return done;
                         };
-                        done.push((i, f(job)));
+                        done.push((i, f(&mut ws, job)));
                     }
                 })
             })
@@ -605,7 +613,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let caught = std::panic::catch_unwind(|| {
-            fan_out(4, &jobs, |&i| {
+            fan_out(4, &jobs, |_: &mut Workspace<u64>, &i| {
                 assert!(i != 17, "poisoned query #{i}");
                 i * 2
             })
@@ -621,7 +629,7 @@ mod tests {
         );
         // The scope has exited, so every sibling is joined; a healthy
         // batch on the same runner still works afterwards.
-        let healthy = fan_out(4, &jobs, |&i| i * 2);
+        let healthy = fan_out(4, &jobs, |_: &mut Workspace<u64>, &i| i * 2);
         assert_eq!(healthy, (0..64).step_by(2).collect::<Vec<_>>());
     }
 

@@ -24,7 +24,7 @@
 //! * **Label arena.** Every generated configuration/label lives in one
 //!   bump arena of `Label`s addressed by `u32` id; parent pointers are
 //!   arena ids, not map keys, so witness reconstruction is a pointer
-//!   walk and the two explorers share one `TreeRepr`.
+//!   walk and the two explorers share one [`ForemostTree`].
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
 //!   (`FlatMap`) from configuration time to a merged generation-and-
 //!   settlement record (`Conf`), laid out struct-of-arrays: an
@@ -38,11 +38,22 @@
 //!   crossing improves the best hop count enqueued for its target
 //!   configuration (a decrease-key emulation); the old explorer pushed
 //!   every admissible crossing and deduplicated at pop time.
+//! * **One reusable workspace.** Every run goes through a
+//!   [`Workspace`], which owns all per-run state: both explorers'
+//!   per-node frontiers, the answer array, the label arena, the heaps
+//!   and the per-edge span cursors. The tree lists the nodes a run
+//!   reached and the exact core the edges whose cursor it moved; the
+//!   frontiers hold entries only at reached nodes and, after an early
+//!   exit at a [`foremost_to`] target, at the configurations still
+//!   queued. The next run clears only those entries, so a run costs
+//!   what it touches, not O(n + m), once the arrays have grown to the
+//!   index. Batch workers and serve readers
+//!   keep one workspace each; the one-shot functions build a fresh one.
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
 //! which `tvg-testkit` keeps alive as a differential oracle
-//! (`refengine`).
+//! (`refengine`), and do not depend on what a workspace ran before.
 //!
 //! Every run carries its own [`EngineStats`] (run count, settled
 //! configurations, expanded crossings) inside the returned tree. Stats
@@ -183,6 +194,12 @@ impl<K: Ord + Clone, V> FlatMap<K, V> {
         }
     }
 
+    /// Empties the map, keeping its capacity for the next run.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.vals.clear();
+    }
+
     fn val_mut(&mut self, i: usize) -> &mut V {
         &mut self.vals[i]
     }
@@ -218,49 +235,92 @@ fn alloc_label<T>(arena: &mut Vec<Label<T>>, time: T, parent: Option<(u32, EdgeI
     id
 }
 
-/// Journey-reconstruction data shared by both explorers: the label
-/// arena plus, per node, the arena id realizing its foremost arrival.
-/// Journeys are rebuilt lazily in [`ForemostTree::journey_to`] so
-/// arrival-only consumers (reachability rows, delivery ratios,
-/// broadcasts) pay nothing for witnesses they never read.
-#[derive(Debug, Clone)]
-pub(crate) struct TreeRepr<T> {
-    pub(crate) arena: Vec<Label<T>>,
-    pub(crate) best: Vec<Option<u32>>,
-}
-
 /// The all-destinations output of one single-source engine run: for each
 /// node, the foremost (earliest) arrival from the seed configuration(s),
 /// plus the parent structure to rebuild a witness journey on demand.
 ///
 /// Seed nodes are reached at their seed time by the empty journey.
+///
+/// The one-shot functions ([`foremost_tree`], [`foremost_tree_multi`])
+/// return an owned tree; a [`Workspace`] lends its tree out until its
+/// next run.
 #[derive(Debug, Clone)]
 pub struct ForemostTree<T> {
-    arrival: Vec<Option<T>>,
-    repr: TreeRepr<T>,
-    stats: EngineStats,
+    /// Per node: the foremost arrival and the arena id of the label
+    /// realizing it, `None` while unreached.
+    foremost: Vec<Option<(T, u32)>>,
+    /// Every generated configuration/label of the run, addressed by id.
+    arena: Vec<Label<T>>,
+    /// The reached nodes in settle order, each once: what the next
+    /// run's reset clears.
+    reached: Vec<NodeId>,
+    pub(crate) stats: EngineStats,
 }
 
 impl<T: Time> ForemostTree<T> {
-    /// Assembles a tree from explorer state (the fresh path and the
-    /// incremental repair in [`crate::incremental`] share this).
-    pub(crate) fn from_parts(
-        arrival: Vec<Option<T>>,
-        repr: TreeRepr<T>,
-        stats: EngineStats,
-    ) -> Self {
+    fn empty() -> Self {
         ForemostTree {
-            arrival,
-            repr,
-            stats,
+            foremost: Vec::new(),
+            arena: Vec::new(),
+            reached: Vec::new(),
+            stats: EngineStats::default(),
         }
+    }
+
+    /// An empty tree for `num_nodes` nodes that counts one run.
+    pub(crate) fn for_nodes(num_nodes: usize) -> Self {
+        let mut tree = ForemostTree::empty();
+        tree.reset(num_nodes);
+        tree
+    }
+
+    /// Forgets the previous run — only the nodes it reached are
+    /// written — and sizes the per-node state for `num_nodes`. Label
+    /// ids restart at 0 and the stats at one run.
+    fn reset(&mut self, num_nodes: usize) {
+        for n in self.reached.drain(..) {
+            self.foremost[n.index()] = None;
+        }
+        self.foremost.resize(num_nodes, None);
+        self.arena.clear();
+        self.stats = EngineStats::one_run();
+    }
+
+    /// Grows the per-node state after streamed topology growth.
+    pub(crate) fn resize(&mut self, num_nodes: usize) {
+        self.foremost.resize(num_nodes, None);
+    }
+
+    /// Records a settle of `node` at `time` by label `id`. Returns
+    /// whether it is the node's first, which is its foremost arrival.
+    fn settle(&mut self, node: NodeId, time: &T, id: u32) -> bool {
+        let slot = &mut self.foremost[node.index()];
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some((time.clone(), id));
+        self.reached.push(node);
+        true
+    }
+
+    /// Forgets every arrival at or after `t0`.
+    fn prune(&mut self, t0: &T) {
+        let foremost = &mut self.foremost;
+        self.reached.retain(|n| {
+            let slot = &mut foremost[n.index()];
+            let keep = slot.as_ref().is_some_and(|(t, _)| t < t0);
+            if !keep {
+                *slot = None;
+            }
+            keep
+        });
     }
 
     /// The foremost arrival at `n`, `None` if unreachable within the
     /// limits.
     #[must_use]
     pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        self.arrival[n.index()].as_ref()
+        self.foremost[n.index()].as_ref().map(|(t, _)| t)
     }
 
     /// A foremost journey to `n` (empty for a seed node), `None` if
@@ -268,26 +328,26 @@ impl<T: Time> ForemostTree<T> {
     /// structure.
     #[must_use]
     pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        self.arrival[n.index()].as_ref()?;
-        Some(rebuild_labels(
-            &self.repr.arena,
-            self.repr.best[n.index()].expect("reached nodes have a best label"),
-        ))
+        let (_, id) = self.foremost[n.index()].as_ref()?;
+        Some(rebuild_labels(&self.arena, *id))
     }
 
     /// The reached nodes, in id order.
     pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.arrival
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| NodeId::from_index(i))
+        let mut nodes = self.reached.clone();
+        nodes.sort_unstable();
+        nodes.into_iter()
+    }
+
+    /// The reached nodes in settle order (the engine's own bookkeeping).
+    pub(crate) fn reached_unordered(&self) -> &[NodeId] {
+        &self.reached
     }
 
     /// Number of reached nodes (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        self.arrival.iter().filter(|r| r.is_some()).count()
+        self.reached.len()
     }
 
     /// Work counters of the run that produced this tree
@@ -295,6 +355,150 @@ impl<T: Time> ForemostTree<T> {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+}
+
+/// All the per-run state of the engine, kept between runs so that a run
+/// costs what it touches: both explorers' frontiers, the label arena,
+/// the heaps, the per-edge span cursors and the answer arrays. Each run
+/// first clears only what the previous one wrote (at the nodes it
+/// reached or left queued, and the cursors it moved), then sizes the
+/// arrays for the index it is given.
+///
+/// A batch worker or a serve reader keeps one workspace for all its
+/// runs; the one-shot functions build a fresh one per call. Results do
+/// not depend on what the workspace ran before.
+///
+/// ```
+/// use tvg_journeys::{foremost_tree, SearchLimits, WaitingPolicy, Workspace};
+/// use tvg_model::{generators::ring_bus_tvg, NodeId, TvgIndex};
+///
+/// let g = ring_bus_tvg(4, 4, 'r');
+/// let index = TvgIndex::compile(&g, 40);
+/// let limits = SearchLimits::new(40, 12);
+/// let mut ws = Workspace::new();
+/// for src in g.nodes() {
+///     let tree = ws.foremost_tree(&index, src, &0, &WaitingPolicy::Unbounded, &limits);
+///     assert_eq!(tree.num_reached(), 4);
+/// }
+/// let (a, b) = (NodeId::from_index(0), NodeId::from_index(2));
+/// let fresh = foremost_tree(&index, a, &0, &WaitingPolicy::NoWait, &limits);
+/// let journey = ws.foremost_to(&index, a, b, &0, &WaitingPolicy::NoWait, &limits);
+/// assert_eq!(journey, fresh.journey_to(b));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Workspace<T> {
+    tree: ForemostTree<T>,
+    exact: ExactCore<T>,
+    pareto: ParetoCore<T>,
+}
+
+impl<T: Time> Default for Workspace<T> {
+    fn default() -> Self {
+        Workspace::new()
+    }
+}
+
+impl<T: Time> Workspace<T> {
+    /// An empty workspace; it grows to the first index it runs on.
+    #[must_use]
+    pub fn new() -> Self {
+        Workspace {
+            tree: ForemostTree::empty(),
+            exact: ExactCore::new(),
+            pareto: ParetoCore::new(),
+        }
+    }
+
+    /// [`foremost_tree`] through this workspace; the tree is borrowed
+    /// until the next run.
+    pub fn foremost_tree<I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        src: NodeId,
+        start: &T,
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+    ) -> &ForemostTree<T> {
+        self.run(index, &[(src, start.clone())], policy, limits, None)
+    }
+
+    /// [`foremost_tree_multi`] through this workspace.
+    pub fn foremost_tree_multi<I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        seeds: &[(NodeId, T)],
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+    ) -> &ForemostTree<T> {
+        self.run(index, seeds, policy, limits, None)
+    }
+
+    /// [`foremost_to`] through this workspace. The run stops at `dst`'s
+    /// first settle; [`Workspace::tree`] then holds what it settled so
+    /// far, with its stats.
+    pub fn foremost_to<I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        src: NodeId,
+        dst: NodeId,
+        start: &T,
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+    ) -> Option<Journey<T>> {
+        self.run(index, &[(src, start.clone())], policy, limits, Some(dst))
+            .journey_to(dst)
+    }
+
+    /// The tree of the last run (empty before the first).
+    #[must_use]
+    pub fn tree(&self) -> &ForemostTree<T> {
+        &self.tree
+    }
+
+    /// Consumes the workspace into the tree of its last run.
+    #[must_use]
+    pub fn into_tree(self) -> ForemostTree<T> {
+        self.tree
+    }
+
+    /// Moves the last run's tree out; the next run starts its answer
+    /// arrays afresh.
+    pub(crate) fn take_tree(&mut self) -> ForemostTree<T> {
+        self.clear_frontiers();
+        std::mem::replace(&mut self.tree, ForemostTree::empty())
+    }
+
+    /// Empties the frontiers the last run filled. Only the core that
+    /// ran holds any, and only at the nodes the tree lists as reached
+    /// (or, after an early exit, in configurations still queued).
+    fn clear_frontiers(&mut self) {
+        self.exact.clear(&self.tree.reached);
+        self.pareto.clear(&self.tree.reached);
+    }
+
+    fn run<I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        seeds: &[(NodeId, T)],
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+        target: Option<NodeId>,
+    ) -> &ForemostTree<T> {
+        let n = index.num_nodes();
+        self.clear_frontiers();
+        let tree = &mut self.tree;
+        tree.reset(n);
+        if let WaitingPolicy::Unbounded = policy {
+            self.pareto.resize(n);
+            self.pareto.seed(tree, seeds);
+            self.pareto.drain(tree, index, limits, target);
+        } else {
+            self.exact.resize(n);
+            self.exact.seed(tree, seeds);
+            self.exact.drain(tree, index, policy, limits, target);
+        }
+        &self.tree
     }
 }
 
@@ -327,7 +531,9 @@ pub fn foremost_tree_multi<T: Time, I: TemporalIndex<T>>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> ForemostTree<T> {
-    run(index, seeds, policy, limits, None)
+    let mut ws = Workspace::new();
+    ws.foremost_tree_multi(index, seeds, policy, limits);
+    ws.into_tree()
 }
 
 /// A single-target foremost query with early exit: the run stops as soon
@@ -344,46 +550,7 @@ pub fn foremost_to<T: Time, I: TemporalIndex<T>>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> Option<Journey<T>> {
-    run(index, &[(src, start.clone())], policy, limits, Some(dst)).journey_to(dst)
-}
-
-pub(crate) fn run<T: Time, I: TemporalIndex<T>>(
-    index: &I,
-    seeds: &[(NodeId, T)],
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-    target: Option<NodeId>,
-) -> ForemostTree<T> {
-    match policy {
-        WaitingPolicy::Unbounded => {
-            let mut stats = EngineStats::one_run();
-            let mut core = ParetoCore::new(index.num_nodes());
-            core.seed(seeds);
-            core.drain(index, limits, target, &mut stats);
-            ForemostTree {
-                arrival: core.arrival,
-                repr: TreeRepr {
-                    arena: core.arena,
-                    best: core.best,
-                },
-                stats,
-            }
-        }
-        _ => {
-            let mut stats = EngineStats::one_run();
-            let mut core = ExactCore::new(index.num_nodes());
-            core.seed(seeds);
-            core.drain(index, policy, limits, target, &mut stats);
-            ForemostTree {
-                arrival: core.arrival,
-                repr: TreeRepr {
-                    arena: core.arena,
-                    best: core.best,
-                },
-                stats,
-            }
-        }
-    }
+    Workspace::new().foremost_to(index, src, dst, start, policy, limits)
 }
 
 /// Maps an arrival configuration to `(parent node, parent ready time,
@@ -466,15 +633,22 @@ impl<T: Ord + Clone> Reach<T> for Latest<T> {
     }
 }
 
-/// Resumable state of the exact `(node, time)` explorer — the fresh run
-/// drives it from empty seeds; [`crate::incremental`] prunes and
-/// replays it when the underlying schedule grows at the right edge.
+/// Resumable state of the exact `(node, time)` explorer. A
+/// [`Workspace`] resets and reuses one for every fresh run;
+/// [`crate::incremental`] keeps a logged one and prunes and replays it
+/// when the underlying schedule grows at the right edge. The answers
+/// (arrivals, labels, stats) live in the [`ForemostTree`] each call is
+/// handed.
 ///
 /// `conf` is the merged frontier: per node, a flat sorted map from
 /// configuration time to its [`Conf`] state. Settles flip the flag in
 /// place (pop times per node are non-decreasing, so fresh settles land
 /// at the tail); generation inserts by binary search but lands at the
-/// tail in the common case.
+/// tail in the common case. A map is non-empty only at a node the
+/// tree lists as reached, or at one with a configuration still queued
+/// after an early exit, so clearing the maps costs what the run
+/// touched. `moved` lists the edges whose span cursor is past its
+/// first span, for the same reason.
 ///
 /// A core built with [`ExactCore::logged`] (the incremental one) also
 /// keeps, per node, an [`Expansion`] record of every settled
@@ -482,9 +656,6 @@ impl<T: Ord + Clone> Reach<T> for Latest<T> {
 /// none and pays nothing for it.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactCore<T> {
-    pub(crate) arrival: Vec<Option<T>>,
-    pub(crate) best: Vec<Option<u32>>,
-    pub(crate) arena: Vec<Label<T>>,
     /// Per node: configuration time → generation/settlement state.
     conf: Vec<FlatMap<T, Conf>>,
     /// Per node: the repair log, `None` outside incremental repair.
@@ -493,45 +664,78 @@ pub(crate) struct ExactCore<T> {
     // so the first settle of a node is its foremost arrival. Residual
     // duplicates are deduplicated at pop time against the settled flag.
     queue: BinaryHeap<Reverse<(T, NodeId, u32, u32)>>,
+    /// Per edge: the first span a later expansion can still depart in
+    /// (see [`ExactCore::expand`]).
+    cursor: Vec<u32>,
+    /// The edges whose `cursor` is non-zero, each once.
+    moved: Vec<EdgeId>,
 }
 
 impl<T: Time> ExactCore<T> {
-    pub(crate) fn new(num_nodes: usize) -> Self {
+    fn new() -> Self {
         ExactCore {
-            arrival: vec![None; num_nodes],
-            best: vec![None; num_nodes],
-            arena: Vec::new(),
-            conf: vec![FlatMap::new(); num_nodes],
+            conf: Vec::new(),
             log: None,
             queue: BinaryHeap::new(),
+            cursor: Vec::new(),
+            moved: Vec::new(),
         }
     }
 
     /// A core that keeps the repair log [`ExactCore::replay`] needs.
     pub(crate) fn logged(num_nodes: usize) -> Self {
-        ExactCore {
-            log: Some(vec![Vec::new(); num_nodes]),
-            ..ExactCore::new(num_nodes)
+        let mut core = ExactCore {
+            log: Some(Vec::new()),
+            ..ExactCore::new()
+        };
+        core.resize(num_nodes);
+        core
+    }
+
+    /// Empties the frontiers a fresh run filled: every configuration
+    /// it generated either settled, which reached its node, or is still
+    /// queued after an early exit. A node beyond this core's maps was
+    /// reached by a run of the other core.
+    fn clear(&mut self, reached: &[NodeId]) {
+        for Reverse((_, node, _, _)) in self.queue.drain() {
+            self.conf[node.index()].clear();
+        }
+        for n in reached {
+            if let Some(map) = self.conf.get_mut(n.index()) {
+                map.clear();
+            }
         }
     }
 
-    /// Grows the per-node state after streamed topology growth.
+    /// Sizes the per-node state for `num_nodes` (growth after streamed
+    /// topology changes, or the next index a workspace runs on).
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.arrival.resize(num_nodes, None);
-        self.best.resize(num_nodes, None);
-        self.conf.resize(num_nodes, FlatMap::new());
+        self.conf.resize_with(num_nodes, FlatMap::new);
         if let Some(log) = &mut self.log {
-            log.resize(num_nodes, Vec::new());
+            log.resize_with(num_nodes, Vec::new);
         }
+    }
+
+    /// Moves every span cursor back to the first span and sizes the
+    /// cursors for `num_edges`: expansion times restart at each drain
+    /// and replay.
+    fn rewind(&mut self, num_edges: usize) {
+        for e in self.moved.drain(..) {
+            self.cursor[e.index()] = 0;
+        }
+        self.cursor.resize(num_edges, 0);
     }
 
     /// Enqueues seed configurations (hop count zero).
-    pub(crate) fn seed<'s>(&mut self, seeds: impl IntoIterator<Item = &'s (NodeId, T)>)
-    where
+    pub(crate) fn seed<'s>(
+        &mut self,
+        tree: &mut ForemostTree<T>,
+        seeds: impl IntoIterator<Item = &'s (NodeId, T)>,
+    ) where
         T: 's,
     {
         for (node, t) in seeds {
-            let id = alloc_label(&mut self.arena, t.clone(), None);
+            let id = alloc_label(&mut tree.arena, t.clone(), None);
             self.queue.push(Reverse((t.clone(), *node, 0, id)));
         }
     }
@@ -544,20 +748,20 @@ impl<T: Time> ExactCore<T> {
     /// The arena keeps pruned labels as unreachable garbage, which
     /// costs memory proportional to the churn but keeps every surviving
     /// parent chain valid by construction.
-    pub(crate) fn prune(&mut self, t0: &T) {
+    ///
+    /// After a full drain every generated configuration has settled, so
+    /// only reached nodes hold configurations or log entries, and a
+    /// node keeps some exactly when its foremost arrival survives.
+    pub(crate) fn prune(&mut self, tree: &mut ForemostTree<T>, t0: &T) {
         self.queue.clear();
-        for map in &mut self.conf {
-            map.truncate_from(t0);
-        }
-        for entries in self.log.iter_mut().flatten() {
-            entries.truncate(entries.partition_point(|x| x.time < *t0));
-        }
-        for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
-            if slot.as_ref().is_some_and(|t| t >= t0) {
-                *slot = None;
-                *best = None;
+        for n in &tree.reached {
+            self.conf[n.index()].truncate_from(t0);
+            if let Some(log) = &mut self.log {
+                let entries = &mut log[n.index()];
+                entries.truncate(entries.partition_point(|x| x.time < *t0));
             }
         }
+        tree.prune(t0);
     }
 
     /// Re-expands the surviving configurations that a schedule change
@@ -579,16 +783,16 @@ impl<T: Time> ExactCore<T> {
     /// [`ExactCore::logged`]).
     pub(crate) fn replay<I: TemporalIndex<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
         t0: &T,
-        stats: &mut EngineStats,
     ) {
         match policy {
-            WaitingPolicy::NoWait => self.replay_inner(index, &NoWaitDeparture, limits, t0, stats),
+            WaitingPolicy::NoWait => self.replay_inner(tree, index, &NoWaitDeparture, limits, t0),
             WaitingPolicy::Bounded(d) => {
-                self.replay_inner(index, &BoundedDeparture(d.clone()), limits, t0, stats);
+                self.replay_inner(tree, index, &BoundedDeparture(d.clone()), limits, t0);
             }
             WaitingPolicy::Unbounded => unreachable!("unbounded waiting runs on ParetoCore"),
         }
@@ -596,46 +800,37 @@ impl<T: Time> ExactCore<T> {
 
     fn replay_inner<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
         t0: &T,
-        stats: &mut EngineStats,
     ) {
         let mut log = self.log.take().expect("only a logged core replays");
         let mut stale: Vec<(T, NodeId, usize)> = Vec::new();
-        for (i, entries) in log.iter().enumerate() {
-            for (k, x) in entries.iter().enumerate() {
+        for &node in &tree.reached {
+            for (k, x) in log[node.index()].iter().enumerate() {
                 let closed = policy
                     .latest(&x.time, &limits.horizon)
                     .is_none_or(|latest| latest < *t0);
                 if closed && x.reach < *t0 {
-                    stats.expanded += x.crossings;
+                    tree.stats.expanded += x.crossings;
                 } else {
-                    stale.push((x.time.clone(), NodeId::from_index(i), k));
+                    stale.push((x.time.clone(), node, k));
                 }
             }
         }
         // Settled configurations are unique per (node, time).
         stale.sort_unstable();
-        let mut cursor = vec![0usize; index.num_edges()];
+        self.rewind(index.num_edges());
         for (time, node, k) in stale {
             // Every settle leaves its configuration in `conf`, with the
             // witness label and the settle hops.
             let c = *self.conf[node.index()]
                 .get(&time)
                 .expect("a logged configuration has settled");
-            log[node.index()][k] = self.expand_logged(
-                index,
-                policy,
-                limits,
-                &mut cursor,
-                node,
-                time,
-                c.hops,
-                c.label,
-                stats,
-            );
+            log[node.index()][k] =
+                self.expand_logged(tree, index, policy, limits, node, time, c.hops, c.label);
         }
         self.log = Some(log);
     }
@@ -654,18 +849,18 @@ impl<T: Time> ExactCore<T> {
     /// already-foremost settle).
     pub(crate) fn drain<I: TemporalIndex<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
         target: Option<NodeId>,
-        stats: &mut EngineStats,
     ) {
         match policy {
             WaitingPolicy::NoWait => {
-                self.drain_with(index, &NoWaitDeparture, limits, target, stats);
+                self.drain_with(tree, index, &NoWaitDeparture, limits, target);
             }
             WaitingPolicy::Bounded(d) => {
-                self.drain_with(index, &BoundedDeparture(d.clone()), limits, target, stats);
+                self.drain_with(tree, index, &BoundedDeparture(d.clone()), limits, target);
             }
             WaitingPolicy::Unbounded => unreachable!("unbounded waiting runs on ParetoCore"),
         }
@@ -675,29 +870,29 @@ impl<T: Time> ExactCore<T> {
     /// (which keeps no log) runs holds no logging code.
     fn drain_with<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
         target: Option<NodeId>,
-        stats: &mut EngineStats,
     ) {
         if self.log.is_some() {
-            self.drain_inner::<I, P, true>(index, policy, limits, target, stats);
+            self.drain_inner::<I, P, true>(tree, index, policy, limits, target);
         } else {
-            self.drain_inner::<I, P, false>(index, policy, limits, target, stats);
+            self.drain_inner::<I, P, false>(tree, index, policy, limits, target);
         }
     }
 
     fn drain_inner<I: TemporalIndex<T>, P: DeparturePolicy<T>, const LOGGED: bool>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
         target: Option<NodeId>,
-        stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        let mut cursor = vec![0usize; index.num_edges()];
+        self.rewind(index.num_edges());
         while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
             let ni = node.index();
             // The witness label of this configuration: its
@@ -729,45 +924,20 @@ impl<T: Time> ExactCore<T> {
                     id
                 }
             };
-            stats.settled += 1;
-            if self.arrival[ni].is_none() {
-                self.arrival[ni] = Some(time.clone());
-                self.best[ni] = Some(id);
-                // The first settle is already foremost: a targeted query
-                // is done here.
-                if target == Some(node) {
-                    break;
-                }
+            tree.stats.settled += 1;
+            // The first settle is already foremost: a targeted query is
+            // done here.
+            if tree.settle(node, &time, id) && target == Some(node) {
+                break;
             }
             if hops == cap {
                 continue;
             }
             if !LOGGED {
-                self.expand(
-                    index,
-                    policy,
-                    limits,
-                    &mut cursor,
-                    node,
-                    &time,
-                    hops,
-                    id,
-                    &mut (),
-                    stats,
-                );
+                self.expand(tree, index, policy, limits, node, &time, hops, id, &mut ());
                 continue;
             }
-            let x = self.expand_logged(
-                index,
-                policy,
-                limits,
-                &mut cursor,
-                node,
-                time,
-                hops,
-                id,
-                stats,
-            );
+            let x = self.expand_logged(tree, index, policy, limits, node, time, hops, id);
             let entries = &mut self.log.as_mut().expect("a logged drain has a log")[ni];
             // Settle times per node only grow within a drain, and a
             // repair's drain settles at or after its watermark, so this
@@ -781,31 +951,30 @@ impl<T: Time> ExactCore<T> {
     #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
     fn expand_logged<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
-        cursor: &mut [usize],
         node: NodeId,
         time: T,
         hops: u32,
         id: u32,
-        stats: &mut EngineStats,
     ) -> Expansion<T> {
-        let before = stats.expanded;
+        let before = tree.stats.expanded;
         let mut reach = Latest(time.clone());
         self.expand(
-            index, policy, limits, cursor, node, &time, hops, id, &mut reach, stats,
+            tree, index, policy, limits, node, &time, hops, id, &mut reach,
         );
         Expansion {
             time,
             reach: reach.0,
-            crossings: stats.expanded - before,
+            crossings: tree.stats.expanded - before,
         }
     }
 
     /// Expands every admissible crossing from a settled configuration —
     /// the same `(edge, depart, arrive)` triples in the same order as
-    /// [`TemporalIndex::crossings`], but enumerated through a per-edge
+    /// [`TemporalIndex::crossings`], but enumerated through the per-edge
     /// span `cursor`: expansion times within one drain/replay are
     /// non-decreasing, so the span holding the next departure is found
     /// by walking forward from the last position (amortized O(1) per
@@ -813,16 +982,15 @@ impl<T: Time> ExactCore<T> {
     #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
     fn expand<I: TemporalIndex<T>, P: DeparturePolicy<T>, R: Reach<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
-        cursor: &mut [usize],
         node: NodeId,
         time: &T,
         hops: u32,
         id: u32,
         reach: &mut R,
-        stats: &mut EngineStats,
     ) {
         let Some(until) = policy.latest(time, &limits.horizon) else {
             return;
@@ -832,11 +1000,17 @@ impl<T: Time> ExactCore<T> {
             // Expansion times only grow, so spans ending at or before
             // `time` can never serve a later call either: skip them for
             // good by advancing the edge's cursor.
-            let mut i = cursor[e.index()];
+            let from = self.cursor[e.index()];
+            let mut i = from as usize;
             while i < spans.len() && *spans.end(i) <= *time {
                 i += 1;
             }
-            cursor[e.index()] = i;
+            if i != from as usize {
+                if from == 0 {
+                    self.moved.push(e);
+                }
+                self.cursor[e.index()] = u32::try_from(i).expect("an edge has under 2^32 spans");
+            }
             while i < spans.len() && *spans.start(i) <= until {
                 let (start, end) = (spans.start(i), spans.end(i));
                 let mut dep = if *start > *time {
@@ -851,7 +1025,7 @@ impl<T: Time> ExactCore<T> {
                         dep = dep.succ();
                         continue;
                     };
-                    stats.expanded += 1;
+                    tree.stats.expanded += 1;
                     reach.note(&arr);
                     let succ = index.dst(e);
                     let si = succ.index();
@@ -870,7 +1044,7 @@ impl<T: Time> ExactCore<T> {
                         }
                         Err(at) => {
                             let new_id = alloc_label(
-                                &mut self.arena,
+                                &mut tree.arena,
                                 arr.clone(),
                                 Some((id, e, dep.clone())),
                             );
@@ -905,11 +1079,10 @@ fn dominated<T: Time>(frontier: &[ParetoEntry<T>], time: &T, hops: u32) -> bool 
 /// every surviving parent chain valid by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct ParetoCore<T> {
-    pub(crate) arrival: Vec<Option<T>>,
-    pub(crate) best: Vec<Option<u32>>,
-    pub(crate) arena: Vec<Label<T>>,
     /// Settled Pareto frontier per node, sorted by arrival (settle
-    /// order is time-ordered and per-node ties are dominated away).
+    /// order is time-ordered and per-node ties are dominated away). A
+    /// frontier is non-empty exactly at the nodes the tree lists as
+    /// reached: a node's first settle is its foremost arrival.
     settled: Vec<Vec<ParetoEntry<T>>>,
     // Min-heap on (arrival, hops, node, label id); pops in (time, hops)
     // order, and label ids make every entry unique, so the pop sequence
@@ -918,48 +1091,52 @@ pub(crate) struct ParetoCore<T> {
 }
 
 impl<T: Time> ParetoCore<T> {
-    pub(crate) fn new(num_nodes: usize) -> Self {
+    pub(crate) fn new() -> Self {
         ParetoCore {
-            arrival: vec![None; num_nodes],
-            best: vec![None; num_nodes],
-            arena: Vec::new(),
-            settled: vec![Vec::new(); num_nodes],
+            settled: Vec::new(),
             queue: BinaryHeap::new(),
         }
     }
 
-    /// Grows the per-node state after streamed topology growth.
+    /// Empties the frontiers a fresh run filled (see
+    /// [`ExactCore::clear`]).
+    fn clear(&mut self, reached: &[NodeId]) {
+        self.queue.clear();
+        for n in reached {
+            if let Some(frontier) = self.settled.get_mut(n.index()) {
+                frontier.clear();
+            }
+        }
+    }
+
+    /// Sizes the per-node state for `num_nodes`.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.arrival.resize(num_nodes, None);
-        self.best.resize(num_nodes, None);
-        self.settled.resize(num_nodes, Vec::new());
+        self.settled.resize_with(num_nodes, Vec::new);
     }
 
     /// Enqueues seed labels (hop count zero, no parent).
-    pub(crate) fn seed<'s>(&mut self, seeds: impl IntoIterator<Item = &'s (NodeId, T)>)
-    where
+    pub(crate) fn seed<'s>(
+        &mut self,
+        tree: &mut ForemostTree<T>,
+        seeds: impl IntoIterator<Item = &'s (NodeId, T)>,
+    ) where
         T: 's,
     {
         for (node, t) in seeds {
-            let id = alloc_label(&mut self.arena, t.clone(), None);
+            let id = alloc_label(&mut tree.arena, t.clone(), None);
             self.queue.push(Reverse((t.clone(), 0, *node, id)));
         }
     }
 
     /// Discards every conclusion at or after `t0` (see
     /// [`ExactCore::prune`] for the soundness argument).
-    pub(crate) fn prune(&mut self, t0: &T) {
+    pub(crate) fn prune(&mut self, tree: &mut ForemostTree<T>, t0: &T) {
         self.queue.clear();
-        for frontier in &mut self.settled {
-            let keep = frontier.partition_point(|(t, _, _)| t < t0);
-            frontier.truncate(keep);
+        for n in &tree.reached {
+            let frontier = &mut self.settled[n.index()];
+            frontier.truncate(frontier.partition_point(|(t, _, _)| t < t0));
         }
-        for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
-            if slot.as_ref().is_some_and(|t| t >= t0) {
-                *slot = None;
-                *best = None;
-            }
-        }
+        tree.prune(t0);
     }
 
     /// Re-expands every surviving settled label in global settle order
@@ -969,14 +1146,14 @@ impl<T: Time> ParetoCore<T> {
     /// the queue for [`ParetoCore::drain`].
     pub(crate) fn replay<I: TemporalIndex<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         limits: &SearchLimits<T>,
-        stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
         let mut survivors: Vec<(T, u32, NodeId, u32)> = Vec::new();
-        for (i, frontier) in self.settled.iter().enumerate() {
-            let node = NodeId::from_index(i);
+        for &node in &tree.reached {
+            let frontier = &self.settled[node.index()];
             survivors.extend(frontier.iter().map(|(t, h, id)| (t.clone(), *h, node, *id)));
         }
         survivors.sort();
@@ -984,7 +1161,7 @@ impl<T: Time> ParetoCore<T> {
             if hops == cap || time > limits.horizon {
                 continue;
             }
-            self.expand(index, limits, node, &time, hops, id, stats);
+            self.expand(tree, index, limits, node, &time, hops, id);
         }
     }
 
@@ -992,42 +1169,39 @@ impl<T: Time> ParetoCore<T> {
     /// already-foremost settle).
     pub(crate) fn drain<I: TemporalIndex<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         limits: &SearchLimits<T>,
         target: Option<NodeId>,
-        stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
         while let Some(Reverse((time, hops, node, id))) = self.queue.pop() {
-            if dominated(&self.settled[node.index()], &time, hops) {
+            let frontier = &mut self.settled[node.index()];
+            if dominated(frontier, &time, hops) {
                 continue;
             }
-            self.settled[node.index()].push((time.clone(), hops, id));
-            stats.settled += 1;
-            if self.arrival[node.index()].is_none() {
-                self.arrival[node.index()] = Some(time.clone());
-                self.best[node.index()] = Some(id);
-                if target == Some(node) {
-                    break;
-                }
+            frontier.push((time.clone(), hops, id));
+            tree.stats.settled += 1;
+            if tree.settle(node, &time, id) && target == Some(node) {
+                break;
             }
             if hops == cap || time > limits.horizon {
                 continue;
             }
-            self.expand(index, limits, node, &time, hops, id, stats);
+            self.expand(tree, index, limits, node, &time, hops, id);
         }
     }
 
     #[allow(clippy::too_many_arguments)] // one settled label, spelled out
     fn expand<I: TemporalIndex<T>>(
         &mut self,
+        tree: &mut ForemostTree<T>,
         index: &I,
         limits: &SearchLimits<T>,
         node: NodeId,
         time: &T,
         hops: u32,
         id: u32,
-        stats: &mut EngineStats,
     ) {
         for &e in index.out_edges(node) {
             let succ = index.dst(e);
@@ -1060,14 +1234,14 @@ impl<T: Time> ParetoCore<T> {
             if dominated(&self.settled[succ.index()], &arr, hops + 1) {
                 continue;
             }
-            stats.expanded += 1;
-            let new_id = alloc_label(&mut self.arena, arr.clone(), Some((id, e, dep)));
+            tree.stats.expanded += 1;
+            let new_id = alloc_label(&mut tree.arena, arr.clone(), Some((id, e, dep)));
             self.queue.push(Reverse((arr, hops + 1, succ, new_id)));
         }
     }
 }
 
-pub(crate) fn rebuild_labels<T: Time>(arena: &[Label<T>], mut id: u32) -> Journey<T> {
+fn rebuild_labels<T: Time>(arena: &[Label<T>], mut id: u32) -> Journey<T> {
     let mut hops = Vec::new();
     while let Some((prev, e, dep)) = &arena[id as usize].parent {
         hops.push(Hop {

@@ -49,14 +49,19 @@
 //! window); the rest of the history costs one scan of its log, not a
 //! sort and re-expansion. A refresh therefore costs `O(window + churn)`
 //! where the recompute baseline pays `O(accumulated schedule + full
-//! exploration)` every tick. The Pareto explorer (`Unbounded`) still
+//! exploration)` every tick. The core keeps its per-edge span cursors
+//! between refreshes and the tree its reached-node list: prune and
+//! replay walk only the reached nodes (the only ones holding
+//! configurations after a full drain), and each drain or replay
+//! rewinds only the cursors the previous one moved, so a refresh pays
+//! no O(n + m) set-up. The Pareto explorer (`Unbounded`) still
 //! re-expands its whole surviving frontier, `O(frontier + churn)`: an
 //! unbounded window never closes. The `stream_props` work-reuse
 //! property pins the settle ratio, and the `bench_medians` E9 entry
 //! (in `tvg-bench`) measures the end-to-end gap on the scale-free feed
 //! and the repair alone on a churn feed.
 
-use crate::engine::{rebuild_labels, EngineStats, ExactCore, ForemostTree, ParetoCore, TreeRepr};
+use crate::engine::{EngineStats, ExactCore, ForemostTree, ParetoCore};
 use crate::{Journey, SearchLimits, WaitingPolicy};
 use tvg_model::stream::IngestReport;
 use tvg_model::{NodeId, TemporalIndex, Time};
@@ -93,12 +98,14 @@ pub struct IncrementalForemost<T> {
     known_nodes: usize,
     policy: WaitingPolicy<T>,
     limits: SearchLimits<T>,
-    state: State<T>,
-    stats: EngineStats,
+    /// The current answers; its stats accumulate over every refresh.
+    tree: ForemostTree<T>,
+    core: Core<T>,
 }
 
+/// The explorer state kept between refreshes.
 #[derive(Debug, Clone)]
-enum State<T> {
+enum Core<T> {
     Exact(ExactCore<T>),
     Pareto(ParetoCore<T>),
 }
@@ -117,23 +124,21 @@ impl<T: Time> IncrementalForemost<T> {
         limits: SearchLimits<T>,
     ) -> Self {
         let n = index.num_nodes();
-        let mut stats = EngineStats {
-            runs: 1,
-            ..EngineStats::default()
-        };
+        let mut tree = ForemostTree::for_nodes(n);
         let live = seeds.iter().filter(|(s, _)| s.index() < n);
-        let state = match &policy {
+        let core = match &policy {
             WaitingPolicy::Unbounded => {
-                let mut core = ParetoCore::new(n);
-                core.seed(live);
-                core.drain(index, &limits, None, &mut stats);
-                State::Pareto(core)
+                let mut core = ParetoCore::new();
+                core.resize(n);
+                core.seed(&mut tree, live);
+                core.drain(&mut tree, index, &limits, None);
+                Core::Pareto(core)
             }
             _ => {
                 let mut core = ExactCore::logged(n);
-                core.seed(live);
-                core.drain(index, &policy, &limits, None, &mut stats);
-                State::Exact(core)
+                core.seed(&mut tree, live);
+                core.drain(&mut tree, index, &policy, &limits, None);
+                Core::Exact(core)
             }
         };
         IncrementalForemost {
@@ -141,8 +146,8 @@ impl<T: Time> IncrementalForemost<T> {
             known_nodes: n,
             policy,
             limits,
-            state,
-            stats,
+            tree,
+            core,
         }
     }
 
@@ -165,15 +170,16 @@ impl<T: Time> IncrementalForemost<T> {
                     .filter(|(s, _)| (prev..n).contains(&s.index()))
                     .collect();
                 if !late.is_empty() {
-                    self.stats.runs += 1;
-                    match &mut self.state {
-                        State::Exact(core) => {
-                            core.seed(late);
-                            core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
+                    let tree = &mut self.tree;
+                    tree.stats.runs += 1;
+                    match &mut self.core {
+                        Core::Exact(core) => {
+                            core.seed(tree, late);
+                            core.drain(tree, index, &self.policy, &self.limits, None);
                         }
-                        State::Pareto(core) => {
-                            core.seed(late);
-                            core.drain(index, &self.limits, None, &mut self.stats);
+                        Core::Pareto(core) => {
+                            core.seed(tree, late);
+                            core.drain(tree, index, &self.limits, None);
                         }
                     }
                 }
@@ -188,7 +194,6 @@ impl<T: Time> IncrementalForemost<T> {
     /// repairs more); passing a later one is not.
     pub fn refresh_since<I: TemporalIndex<T>>(&mut self, index: &I, since: &T) {
         self.resize(index);
-        self.stats.runs += 1;
         let n = index.num_nodes();
         let prev = std::mem::replace(&mut self.known_nodes, n);
         let seeds = &self.seeds;
@@ -198,18 +203,20 @@ impl<T: Time> IncrementalForemost<T> {
         let to_seed = move |seed: &&(NodeId, T)| {
             seed.0.index() < n && (&seed.1 >= since || seed.0.index() >= prev)
         };
-        match &mut self.state {
-            State::Exact(core) => {
-                core.prune(since);
-                core.replay(index, &self.policy, &self.limits, since, &mut self.stats);
-                core.seed(seeds.iter().filter(to_seed));
-                core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
+        let tree = &mut self.tree;
+        tree.stats.runs += 1;
+        match &mut self.core {
+            Core::Exact(core) => {
+                core.prune(tree, since);
+                core.replay(tree, index, &self.policy, &self.limits, since);
+                core.seed(tree, seeds.iter().filter(to_seed));
+                core.drain(tree, index, &self.policy, &self.limits, None);
             }
-            State::Pareto(core) => {
-                core.prune(since);
-                core.replay(index, &self.limits, &mut self.stats);
-                core.seed(seeds.iter().filter(to_seed));
-                core.drain(index, &self.limits, None, &mut self.stats);
+            Core::Pareto(core) => {
+                core.prune(tree, since);
+                core.replay(tree, index, &self.limits);
+                core.seed(tree, seeds.iter().filter(to_seed));
+                core.drain(tree, index, &self.limits, None);
             }
         }
     }
@@ -218,16 +225,17 @@ impl<T: Time> IncrementalForemost<T> {
     /// configuration (see `ExactCore::invalidate_log`).
     #[cfg(test)]
     fn invalidate_log(&mut self, reach: &T) {
-        if let State::Exact(core) = &mut self.state {
+        if let Core::Exact(core) = &mut self.core {
             core.invalidate_log(reach);
         }
     }
 
     fn resize<I: TemporalIndex<T>>(&mut self, index: &I) {
         let n = index.num_nodes();
-        match &mut self.state {
-            State::Exact(core) => core.resize(n),
-            State::Pareto(core) => core.resize(n),
+        self.tree.resize(n);
+        match &mut self.core {
+            Core::Exact(core) => core.resize(n),
+            Core::Pareto(core) => core.resize(n),
         }
     }
 
@@ -257,10 +265,7 @@ impl<T: Time> IncrementalForemost<T> {
     /// Panics if `n` is out of range for the indexed graph.
     #[must_use]
     pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        match &self.state {
-            State::Exact(core) => core.arrival[n.index()].as_ref(),
-            State::Pareto(core) => core.arrival[n.index()].as_ref(),
-        }
+        self.tree.arrival(n)
     }
 
     /// A foremost witness journey to `n` (empty for a seed node),
@@ -271,23 +276,13 @@ impl<T: Time> IncrementalForemost<T> {
     /// Panics if `n` is out of range for the indexed graph.
     #[must_use]
     pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        let (arrival, best, arena) = match &self.state {
-            State::Exact(core) => (&core.arrival, &core.best, &core.arena),
-            State::Pareto(core) => (&core.arrival, &core.best, &core.arena),
-        };
-        arrival[n.index()].as_ref()?;
-        let id = best[n.index()].expect("reached nodes have a best label");
-        Some(rebuild_labels(arena, id))
+        self.tree.journey_to(n)
     }
 
     /// Number of nodes currently reached (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        let arrival = match &self.state {
-            State::Exact(core) => &core.arrival,
-            State::Pareto(core) => &core.arrival,
-        };
-        arrival.iter().filter(|a| a.is_some()).count()
+        self.tree.num_reached()
     }
 
     /// Cumulative work counters: `runs` counts the initial run plus one
@@ -301,25 +296,14 @@ impl<T: Time> IncrementalForemost<T> {
     /// the whole surviving frontier.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.tree.stats()
     }
 
     /// A snapshot of the current answers as an ordinary
     /// [`ForemostTree`] (cloned out of the live state).
     #[must_use]
     pub fn tree(&self) -> ForemostTree<T> {
-        let (arrival, best, arena) = match &self.state {
-            State::Exact(core) => (&core.arrival, &core.best, &core.arena),
-            State::Pareto(core) => (&core.arrival, &core.best, &core.arena),
-        };
-        ForemostTree::from_parts(
-            arrival.clone(),
-            TreeRepr {
-                arena: arena.clone(),
-                best: best.clone(),
-            },
-            self.stats,
-        )
+        self.tree.clone()
     }
 }
 

@@ -15,7 +15,8 @@
 //! * [`engine`] — the single-source journey engine over a compiled
 //!   [`tvg_model::TvgIndex`]: one label-correcting pass returns foremost
 //!   arrivals (and witness journeys) to *every* node, with per-run
-//!   [`EngineStats`] work counters.
+//!   [`EngineStats`] work counters. A reusable [`Workspace`] holds all
+//!   per-run state, so repeated runs cost what they touch.
 //! * [`batch`] — the batch-query runtime: slices of independent engine
 //!   runs fanned out over scoped worker threads sharing one index, with
 //!   results merged back in input order (bit-identical to the serial
@@ -33,7 +34,8 @@
 //! * [`language`] — journey languages `L_f(G)`: the bridge to the
 //!   `tvg-expressivity` crate.
 //! * [`ReachabilityMatrix`] — who reaches whom, how fast, under which
-//!   policy.
+//!   policy; [`MatrixSummary`] folds the same aggregates from per-row
+//!   summaries without storing the n×n matrix.
 //!
 //! # Examples
 //!
@@ -73,11 +75,13 @@ mod reachability;
 pub mod search;
 
 pub use batch::{Batch, BatchJourneys, BatchOutcome, BatchRunner};
-pub use engine::{foremost_to, foremost_tree, foremost_tree_multi, EngineStats, ForemostTree};
+pub use engine::{
+    foremost_to, foremost_tree, foremost_tree_multi, EngineStats, ForemostTree, Workspace,
+};
 pub use incremental::IncrementalForemost;
 pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;
-pub use reachability::ReachabilityMatrix;
+pub use reachability::{MatrixSummary, ReachabilityMatrix};
 pub use search::{
     all_journeys, expansions, fastest_journey, foremost_journey, reachable_configs,
     reachable_nodes, shortest_journey, SearchLimits,

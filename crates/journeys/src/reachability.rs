@@ -5,18 +5,19 @@
 //! face of the paper's "waiting makes protocol design easier" claim.
 
 use crate::batch::{Batch, BatchRunner};
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, ForemostTree};
 use crate::{SearchLimits, WaitingPolicy};
+use std::collections::BTreeMap;
 use tvg_model::{NodeId, TemporalIndex, Time, Tvg, TvgIndex};
 
 /// Foremost arrival times between all node pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachabilityMatrix<T> {
-    start: T,
     /// `arrivals[src][dst]`: earliest arrival, `None` if unreachable.
     arrivals: Vec<Vec<Option<T>>>,
-    /// Summed engine work over the rows (`stats.runs == n`).
-    stats: EngineStats,
+    /// The aggregates every accessor but [`ReachabilityMatrix::arrival`]
+    /// reads, folded from the same rows.
+    summary: MatrixSummary<T>,
 }
 
 impl<T: Time + Send + Sync> ReachabilityMatrix<T> {
@@ -66,15 +67,14 @@ impl<T: Time + Send + Sync> ReachabilityMatrix<T> {
         let n = index.num_nodes();
         let sources: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
         // Worker-side reduction: each tree collapses to its matrix row
-        // before the next query runs, so peak memory is O(workers)
-        // trees, not n.
-        let (arrivals, stats) = BatchRunner::new(index, batch).map_sources(
+        // and its row summary inside the worker that ran it.
+        let (rows, stats) = BatchRunner::new(index, batch).map_sources(
             &sources,
             start,
             policy,
             limits,
             |src, tree| {
-                (0..n)
+                let row = (0..n)
                     .map(NodeId::from_index)
                     .map(|dst| {
                         if dst == src {
@@ -83,21 +83,15 @@ impl<T: Time + Send + Sync> ReachabilityMatrix<T> {
                             tree.arrival(dst).cloned()
                         }
                     })
-                    .collect()
+                    .collect();
+                (row, RowSummary::of_tree(n, src, tree))
             },
         );
+        let (arrivals, summaries): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         ReachabilityMatrix {
-            start: start.clone(),
             arrivals,
-            stats,
+            summary: MatrixSummary::fold(start.clone(), n, summaries, stats),
         }
-    }
-
-    /// Summed engine work behind this matrix: exactly one single-source
-    /// run per node, at any thread count.
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        self.stats
     }
 }
 
@@ -108,22 +102,191 @@ impl<T: Time> ReachabilityMatrix<T> {
         self.arrivals[src.index()][dst.index()].as_ref()
     }
 
+    /// The aggregates of this matrix, as [`MatrixSummary::compute_on`]
+    /// computes them without the matrix.
+    #[must_use]
+    pub fn summary(&self) -> &MatrixSummary<T> {
+        &self.summary
+    }
+
+    /// Summed engine work behind this matrix: exactly one single-source
+    /// run per node, at any thread count.
+    #[must_use]
+    pub fn stats(&self) -> EngineStats {
+        self.summary.stats()
+    }
+
+    /// See [`MatrixSummary::reachability_ratio`].
+    #[must_use]
+    pub fn reachability_ratio(&self) -> f64 {
+        self.summary.reachability_ratio()
+    }
+
+    /// See [`MatrixSummary::temporal_diameter`].
+    #[must_use]
+    pub fn temporal_diameter(&self) -> Option<T> {
+        self.summary.temporal_diameter()
+    }
+
+    /// See [`MatrixSummary::is_temporally_connected`].
+    #[must_use]
+    pub fn is_temporally_connected(&self) -> bool {
+        self.summary.is_temporally_connected()
+    }
+
+    /// See [`MatrixSummary::temporal_sources`].
+    #[must_use]
+    pub fn temporal_sources(&self) -> Vec<NodeId> {
+        self.summary.temporal_sources()
+    }
+
+    /// See [`MatrixSummary::temporal_sinks`].
+    #[must_use]
+    pub fn temporal_sinks(&self) -> Vec<NodeId> {
+        self.summary.temporal_sinks()
+    }
+}
+
+/// One source's row of the all-pairs matrix, reduced to what the
+/// aggregates read: how many destinations each arrival instant reaches,
+/// how many stay unreached (the diagonal excluded from both), and the
+/// set of reached destinations as a bitset.
+#[derive(Debug, Clone)]
+struct RowSummary<T> {
+    arrivals: BTreeMap<T, u64>,
+    unreached: u64,
+    /// Bit `dst` is set iff `dst` is reached; the source's own bit is
+    /// set, so the bitwise AND over all rows is the sink set.
+    reached: Vec<u64>,
+}
+
+impl<T: Time> RowSummary<T> {
+    /// The summary of the row of `src`, read from its foremost tree
+    /// over an `n`-node index in O(reached) plus the n-bit set.
+    fn of_tree(n: usize, src: NodeId, tree: &ForemostTree<T>) -> Self {
+        let mut reached = vec![0u64; n.div_ceil(64)];
+        set_bit(&mut reached, src.index());
+        let mut row = RowSummary {
+            arrivals: BTreeMap::new(),
+            unreached: n as u64 - 1,
+            reached,
+        };
+        for &dst in tree.reached_unordered() {
+            if dst != src {
+                let at = tree.arrival(dst).expect("reached nodes have an arrival");
+                *row.arrivals.entry(at.clone()).or_default() += 1;
+                row.unreached -= 1;
+                set_bit(&mut row.reached, dst.index());
+            }
+        }
+        row
+    }
+}
+
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// The all-pairs aggregates — the off-diagonal arrival histogram, the
+/// reachability ratio, the temporal diameter, temporal sources and
+/// sinks — folded from per-source row summaries (arrival counts, the
+/// unreached count, the reached set as a bitset) in source order,
+/// without the n×n matrix. [`ReachabilityMatrix`] answers its
+/// aggregate accessors from the same fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixSummary<T> {
+    start: T,
+    num_nodes: usize,
+    arrivals: BTreeMap<T, u64>,
+    unreached: u64,
+    sources: Vec<NodeId>,
+    /// Bit `dst` is set iff every other node reaches `dst`.
+    sinks: Vec<u64>,
+    stats: EngineStats,
+}
+
+impl<T: Time + Send + Sync> MatrixSummary<T> {
+    /// The aggregates of [`ReachabilityMatrix::compute_on`]'s matrix:
+    /// the same n engine runs, each reduced to its row summary inside
+    /// the batch worker. The rows hold one bit per pair (their reached
+    /// sets) instead of one arrival per pair.
+    pub fn compute_on<I: TemporalIndex<T> + Sync>(
+        index: &I,
+        start: &T,
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+        batch: Batch,
+    ) -> Self {
+        let n = index.num_nodes();
+        let sources: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        let (rows, stats) = BatchRunner::new(index, batch).map_sources(
+            &sources,
+            start,
+            policy,
+            limits,
+            |src, tree| RowSummary::of_tree(n, src, tree),
+        );
+        MatrixSummary::fold(start.clone(), n, rows, stats)
+    }
+}
+
+impl<T: Time> MatrixSummary<T> {
+    /// Merges the rows of sources `0..num_nodes`, in that order.
+    fn fold(
+        start: T,
+        num_nodes: usize,
+        rows: impl IntoIterator<Item = RowSummary<T>>,
+        stats: EngineStats,
+    ) -> Self {
+        let mut m = MatrixSummary {
+            start,
+            num_nodes,
+            arrivals: BTreeMap::new(),
+            unreached: 0,
+            sources: Vec::new(),
+            sinks: vec![u64::MAX; num_nodes.div_ceil(64)],
+            stats,
+        };
+        for (i, row) in rows.into_iter().enumerate() {
+            for (at, count) in row.arrivals {
+                *m.arrivals.entry(at).or_default() += count;
+            }
+            m.unreached += row.unreached;
+            if row.unreached == 0 {
+                m.sources.push(NodeId::from_index(i));
+            }
+            for (sink, reached) in m.sinks.iter_mut().zip(&row.reached) {
+                *sink &= reached;
+            }
+        }
+        m
+    }
+
+    /// Off-diagonal arrival instants in increasing order, each with the
+    /// number of ordered pairs whose foremost arrival it is.
+    pub fn arrival_counts(&self) -> impl Iterator<Item = (&T, u64)> + '_ {
+        self.arrivals.iter().map(|(at, count)| (at, *count))
+    }
+
+    /// Number of ordered pairs `(src, dst)`, `src ≠ dst`, not reachable.
+    #[must_use]
+    pub fn unreached(&self) -> u64 {
+        self.unreached
+    }
+
     /// Fraction of ordered node pairs `(src, dst)`, `src ≠ dst`, that are
     /// reachable. `1.0` for graphs with fewer than two nodes.
     #[must_use]
     pub fn reachability_ratio(&self) -> f64 {
-        let n = self.arrivals.len();
+        let n = self.num_nodes;
         if n < 2 {
             return 1.0;
         }
-        let mut reachable = 0usize;
-        for (i, row) in self.arrivals.iter().enumerate() {
-            for (j, a) in row.iter().enumerate() {
-                if i != j && a.is_some() {
-                    reachable += 1;
-                }
-            }
-        }
+        let reachable: u64 = self.arrivals.values().sum();
         reachable as f64 / (n * (n - 1)) as f64
     }
 
@@ -132,23 +295,9 @@ impl<T: Time> ReachabilityMatrix<T> {
     /// no pair is reachable.
     #[must_use]
     pub fn temporal_diameter(&self) -> Option<T> {
-        let mut worst: Option<&T> = None;
-        for (i, row) in self.arrivals.iter().enumerate() {
-            for (j, a) in row.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                if let Some(a) = a {
-                    worst = Some(match worst {
-                        None => a,
-                        Some(w) if a > w => a,
-                        Some(w) => w,
-                    });
-                }
-            }
-        }
-        worst.map(|w| {
-            w.checked_sub(&self.start)
+        self.arrivals.last_key_value().map(|(latest, _)| {
+            latest
+                .checked_sub(&self.start)
                 .expect("arrivals never precede the start time")
         })
     }
@@ -156,10 +305,7 @@ impl<T: Time> ReachabilityMatrix<T> {
     /// `true` iff every ordered pair is reachable.
     #[must_use]
     pub fn is_temporally_connected(&self) -> bool {
-        self.arrivals
-            .iter()
-            .enumerate()
-            .all(|(i, row)| row.iter().enumerate().all(|(j, a)| i == j || a.is_some()))
+        self.sources.len() == self.num_nodes
     }
 
     /// Nodes that reach *every* other node — *temporal sources* in the
@@ -167,23 +313,23 @@ impl<T: Time> ReachabilityMatrix<T> {
     /// least one temporal source supports broadcast from it).
     #[must_use]
     pub fn temporal_sources(&self) -> Vec<NodeId> {
-        self.arrivals
-            .iter()
-            .enumerate()
-            .filter(|(i, row)| row.iter().enumerate().all(|(j, a)| *i == j || a.is_some()))
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
+        self.sources.clone()
     }
 
     /// Nodes reachable from *every* other node — *temporal sinks*
     /// (a graph with a temporal sink supports gathering/aggregation).
     #[must_use]
     pub fn temporal_sinks(&self) -> Vec<NodeId> {
-        let n = self.arrivals.len();
-        (0..n)
-            .filter(|&j| (0..n).all(|i| i == j || self.arrivals[i][j].is_some()))
+        (0..self.num_nodes)
+            .filter(|&j| bit(&self.sinks, j))
             .map(NodeId::from_index)
             .collect()
+    }
+
+    /// Summed engine work: exactly one single-source run per node.
+    #[must_use]
+    pub fn stats(&self) -> EngineStats {
+        self.stats
     }
 }
 

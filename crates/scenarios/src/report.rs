@@ -144,27 +144,29 @@ pub(crate) fn engine_json(stats: &EngineStats) -> Json {
 /// widened to `u64` keys, so a `u32`-narrowed run renders the same
 /// bytes as the `u64` run it compresses.
 pub(crate) fn histogram<'a, T: Time + 'a>(values: impl Iterator<Item = Option<&'a T>>) -> Json {
-    let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut counts: BTreeMap<&T, u64> = BTreeMap::new();
     let mut unreached = 0u64;
     for v in values {
         match v {
-            Some(t) => {
-                let t = t.to_u64().expect("scenario arrivals fit a machine word");
-                *counts.entry(t).or_default() += 1;
-            }
+            Some(t) => *counts.entry(t).or_default() += 1,
             None => unreached += 1,
         }
     }
+    histogram_of_counts(counts.into_iter(), unreached)
+}
+
+/// [`histogram`] from counts already made: `(instant, count)` pairs in
+/// increasing instant order, and the unreached count.
+pub(crate) fn histogram_of_counts<'a, T: Time + 'a>(
+    counts: impl Iterator<Item = (&'a T, u64)>,
+    unreached: u64,
+) -> Json {
+    let counts = counts.map(|(t, c)| {
+        let t = t.to_u64().expect("scenario arrivals fit a machine word");
+        Json::Arr(vec![Json::Int(t), Json::Int(c)])
+    });
     obj([
-        (
-            "arrivals",
-            Json::Arr(
-                counts
-                    .into_iter()
-                    .map(|(t, c)| Json::Arr(vec![Json::Int(t), Json::Int(c)]))
-                    .collect(),
-            ),
-        ),
+        ("arrivals", Json::Arr(counts.collect())),
         ("unreached", Json::Int(unreached)),
     ])
 }

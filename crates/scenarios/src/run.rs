@@ -7,13 +7,13 @@
 //! runtime's thread-count invariance is what makes reports reproducible
 //! bytes rather than approximate numbers.
 
-use crate::report::{engine_json, histogram, obj, Report};
+use crate::report::{engine_json, histogram, histogram_of_counts, obj, Report};
 use crate::spec::{Plan, Scenario, Threads};
 use tvg_dynnet::broadcast::broadcast_plan;
 use tvg_dynnet::json::{Json, ToJson};
 use tvg_dynnet::metrics::{AggregateStats, DeliveryStats};
 use tvg_journeys::{
-    Batch, BatchRunner, EngineStats, IncrementalForemost, ReachabilityMatrix, SearchLimits,
+    Batch, BatchRunner, EngineStats, IncrementalForemost, MatrixSummary, SearchLimits,
     WaitingPolicy,
 };
 use tvg_model::stream::{StreamEvent, TvgStream};
@@ -240,16 +240,9 @@ fn run_matrix<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> (Json, EngineStats) {
-    let nodes = index.num_nodes();
-    let m = ReachabilityMatrix::compute_on(index, start, policy, limits, batch);
-    let mut off_diagonal = Vec::new();
-    for src in (0..nodes).map(NodeId::from_index) {
-        for dst in (0..nodes).map(NodeId::from_index) {
-            if dst != src {
-                off_diagonal.push(m.arrival(src, dst));
-            }
-        }
-    }
+    // Each row folds into a summary inside its batch worker; the n×n
+    // matrix is never stored.
+    let m = MatrixSummary::compute_on(index, start, policy, limits, batch);
     let results = obj([
         (
             "diameter",
@@ -257,7 +250,10 @@ fn run_matrix<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
                 .and_then(|d| d.to_u64())
                 .map_or(Json::Null, Json::Int),
         ),
-        ("histogram", histogram(off_diagonal.into_iter())),
+        (
+            "histogram",
+            histogram_of_counts(m.arrival_counts(), m.unreached()),
+        ),
         ("ratio", Json::Num(m.reachability_ratio())),
         ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
         (

@@ -25,12 +25,15 @@
 //! broadcast's multi-seed pass is run once per `(epoch, source)` no
 //! matter how many clients asked. [`ServeOutcome::grouped_runs`] counts
 //! the actual engine passes so reports can show the amortization.
+//! Each reader runs its passes through one engine
+//! [`tvg_journeys::Workspace`] kept across all its groups, so a pass
+//! costs what it touches, not O(n + m) of fresh arrays.
 
 use crate::load::{Request, TimedRequest};
 use crate::snapshot::{EpochRing, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use tvg_journeys::{foremost_tree_multi, EngineStats, SearchLimits, WaitingPolicy};
+use tvg_journeys::{EngineStats, SearchLimits, WaitingPolicy, Workspace};
 use tvg_model::stream::{StreamError, StreamEvent, TvgStream};
 use tvg_model::NodeId;
 
@@ -276,6 +279,9 @@ pub fn serve(
             .map(|_| {
                 let (next_group, groups, config) = (&next_group, &groups, config);
                 scope.spawn(move || {
+                    // One engine workspace serves all of this reader's
+                    // groups; it grows with the snapshots it meets.
+                    let mut ws = Workspace::new();
                     let mut done: Vec<(usize, GroupResult)> = Vec::new();
                     loop {
                         let gi = next_group.fetch_add(1, Ordering::Relaxed);
@@ -284,8 +290,9 @@ pub fn serve(
                         };
                         let t0 = Instant::now();
                         let snapshot = ring.wait(*epoch);
-                        let result =
-                            serve_group(&snapshot, *class, *src, members, requests, config);
+                        let result = serve_group(
+                            &mut ws, &snapshot, *class, *src, members, requests, config,
+                        );
                         done.push((
                             gi,
                             GroupResult {
@@ -425,8 +432,9 @@ impl PublishLog {
 }
 
 /// Answers one group with a single engine pass over its pinned
-/// snapshot.
+/// snapshot, run through the reader's workspace.
 fn serve_group(
+    ws: &mut Workspace<u64>,
     snapshot: &Snapshot<u64>,
     class: GroupClass,
     src: usize,
@@ -442,7 +450,7 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
-    let tree = foremost_tree_multi(&snapshot.index, &seeds, &config.policy, &config.limits);
+    let tree = ws.foremost_tree_multi(&snapshot.index, &seeds, &config.policy, &config.limits);
     let answers = members
         .iter()
         .map(|&i| {
